@@ -8,12 +8,20 @@ joining the blocks under each value, and evaluating; overlapping joins
 and dimension mismatches contribute zero.  On top of the action sit the
 cup-i products, the chain-level Steenrod squares, and the Cartan
 coboundary witness together with its defect.
+
+Evaluation compiles the cut plans once per call: every plan of every
+surjection becomes a tuple of (getter, support) pairs, one per cochain,
+and each target face is checked against those pairs in one tight loop.
+Cochains that this module builds itself (the results of the action,
+`delta` and `+`) skip the validation that the public constructor and
+`Cochain.from_dict` apply to outside input.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from operator import itemgetter
 
 from .barratt_eccles import cartan_homotopy, cup_generator
 from .f2 import F2Sum, singleton, toggle
@@ -33,7 +41,7 @@ class Cochain:
         for f in faces:
             if len(f) != dim + 1:
                 raise ValueError(f"face {f} does not have dimension {dim}")
-            if any(not isinstance(v, int) for v in f):
+            if any(not isinstance(v, int) or isinstance(v, bool) for v in f):
                 raise ValueError(f"face {f} has non-integer vertices")
             if any(a >= b for a, b in zip(f, f[1:])):
                 raise ValueError(f"face {f} is not strictly increasing")
@@ -42,6 +50,15 @@ class Cochain:
         self.ambient = ambient
         self.dim = dim
         self.support = faces
+
+    @classmethod
+    def _built(cls, ambient: int, dim: int, support: frozenset) -> "Cochain":
+        """A cochain whose faces this module computed, so they need no checks."""
+        c = object.__new__(cls)
+        c.ambient = ambient
+        c.dim = dim
+        c.support = support
+        return c
 
     @property
     def is_zero(self) -> bool:
@@ -55,7 +72,7 @@ class Cochain:
             return NotImplemented
         if (self.ambient, self.dim) != (other.ambient, other.dim):
             raise ValueError("cochain shapes differ")
-        return Cochain(self.ambient, self.dim, self.support ^ other.support)
+        return Cochain._built(self.ambient, self.dim, self.support ^ other.support)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Cochain)
@@ -89,8 +106,10 @@ class Cochain:
             support = data["support"]
         except KeyError as exc:
             raise ValueError(f"missing cochain field: {exc.args[0]}") from None
-        if not isinstance(ambient, int) or not isinstance(dim, int):
+        if any(not isinstance(x, int) or isinstance(x, bool) for x in (ambient, dim)):
             raise ValueError("ambient and dim must be integers")
+        if dim < 0:
+            raise ValueError("dim must be nonnegative")
         if not isinstance(support, list) or any(not isinstance(f, list) for f in support):
             raise ValueError("support must be a list of faces")
         faces = [tuple(f) for f in support]
@@ -105,13 +124,21 @@ def ones(n: int) -> Cochain:
 
 
 def delta(a: Cochain) -> Cochain:
-    """Simplicial coboundary: parity of codimension-one subfaces in the support."""
-    out = []
-    for f in faces_of_dim(a.ambient, a.dim + 1):
-        cnt = sum(1 for i in range(len(f)) if f[:i] + f[i + 1:] in a.support)
-        if cnt % 2:
-            out.append(f)
-    return Cochain(a.ambient, a.dim + 1, out)
+    """Simplicial coboundary: parity of codimension-one subfaces in the support.
+
+    Walks the support and toggles every coface f + {v} of each face f,
+    so the cost follows the support rather than the number of faces.
+    """
+    top = a.ambient + 1
+    acc: set = set()
+    for f in a.support:
+        bounds = (-1,) + f + (top,)
+        # the cofaces of one face are distinct, so one update toggles each once
+        acc.symmetric_difference_update(
+            f[:k] + (v,) + f[k:]
+            for k in range(len(f) + 1)
+            for v in range(bounds[k] + 1, bounds[k + 1]))
+    return Cochain._built(a.ambient, a.dim + 1, frozenset(acc))
 
 
 def diagonal_iter(k: int, face: tuple[int, ...]) -> F2Sum:
@@ -146,7 +173,7 @@ def _cut_plans(seq: tuple[int, ...], dims: tuple[int, ...], m: int):
     Cuts whose block lengths cannot match the cochain dimensions, or
     whose same-value blocks overlap, are pruned during the recursion.
     The result only depends on the surjection, the dimensions and m, so
-    it is cached and shared by every target face.
+    it is cached and shared by every call on m-faces.
     """
     r = len(dims)
     counts = [0] * r
@@ -191,6 +218,38 @@ def _cut_plans(seq: tuple[int, ...], dims: tuple[int, ...], m: int):
     return tuple(plans)
 
 
+def _compile(surjs, cochains, m: int) -> list:
+    """The cut plans of every surjection on m-faces, as (getter, support) pairs.
+
+    A target face passes a plan when each getter picks out a face that
+    lies in its support; the action is the parity of passed plans.  A
+    getter of one position returns a bare vertex rather than a 1-tuple,
+    which happens exactly for dimension-0 cochains, so their support is
+    keyed by vertex.
+    """
+    dims = tuple(c.dim for c in cochains)
+    supports = [frozenset(f[0] for f in c.support) if c.dim == 0 else c.support
+                for c in cochains]
+    return [tuple((itemgetter(*positions), supp) for positions, supp in zip(plan, supports))
+            for s in surjs for plan in _cut_plans(s, dims, m)]
+
+
+def _evaluate(plans, faces) -> list:
+    """The faces on which an odd number of the compiled plans pass."""
+    out = []
+    for f in faces:
+        val = 0
+        for plan in plans:
+            for get, supp in plan:
+                if get(f) not in supp:
+                    break
+            else:
+                val ^= 1
+        if val:
+            out.append(f)
+    return out
+
+
 def apply_surjection(seq: tuple[int, ...], cochains, target: tuple[int, ...]) -> int:
     """Value on `target` of the surjection acting on the given cochains."""
     r = len(cochains)
@@ -199,16 +258,7 @@ def apply_surjection(seq: tuple[int, ...], cochains, target: tuple[int, ...]) ->
     ambient = cochains[0].ambient
     if any(c.ambient != ambient for c in cochains):
         raise ValueError("cochains live on different simplices")
-    dims = tuple(c.dim for c in cochains)
-    m = len(target) - 1
-    total = 0
-    for plan in _cut_plans(seq, dims, m):
-        for c, positions in zip(cochains, plan):
-            if tuple(target[p] for p in positions) not in c.support:
-                break
-        else:
-            total ^= 1
-    return total
+    return len(_evaluate(_compile((seq,), cochains, len(target) - 1), (target,)))
 
 
 def surjection_monomials(seq: tuple[int, ...], target: tuple[int, ...]) -> frozenset:
@@ -246,14 +296,10 @@ def witness_surjections(i: int) -> tuple:
 
 
 def _act_cochain(surjs, cochains, n: int, dim: int) -> Cochain:
-    out = []
-    for f in faces_of_dim(n, dim):
-        val = 0
-        for s in surjs:
-            val ^= apply_surjection(s, cochains, f)
-        if val:
-            out.append(f)
-    return Cochain(n, dim, out)
+    """Sum of the surjections acting on cochains of the n-simplex, as a dim-cochain."""
+    faces = faces_of_dim(n, dim)
+    plans = _compile(surjs, cochains, dim) if faces else []
+    return Cochain._built(n, dim, frozenset(_evaluate(plans, faces) if plans else ()))
 
 
 def cup(i: int, a: Cochain, b: Cochain) -> Cochain:
@@ -284,6 +330,9 @@ def cartan_coboundary(i: int, a: Cochain, b: Cochain) -> Cochain:
     if a.ambient != b.ambient:
         raise ValueError("cochains live on different simplices")
     dim = 2 * a.dim + 2 * b.dim - i - 1
+    if not 0 <= dim <= a.ambient:
+        # no face to evaluate on: skip building the witness surjections
+        return Cochain._built(a.ambient, dim, frozenset())
     return _act_cochain(witness_surjections(i), (a, a, b, b), a.ambient, dim)
 
 

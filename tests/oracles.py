@@ -2,13 +2,19 @@
 
 Everything here is written from the definitions with no sharing of code
 paths with the implementation under test: cuts are enumerated one by
-one, joins recomputed, values multiplied out.
+one, joins recomputed, values multiplied out.  The one exception is the
+reference evaluator `act_reference`: it walks the cached cut plans face
+by face and surjection by surjection, without compiling them, so it
+shares `_cut_plans`, which the tests check against
+`brute_surjection_value` on their own.
 """
 
 from itertools import combinations_with_replacement
 
-from cartan.cochains import Cochain, surjection_monomials, witness_surjections
+from cartan.cochains import (Cochain, _cut_plans, surjection_monomials,
+                             witness_surjections)
 from cartan.f2 import toggle
+from cartan.simplicial import faces_of_dim
 
 
 def brute_surjection_value(seq, cochains, target) -> int:
@@ -30,6 +36,35 @@ def brute_surjection_value(seq, cochains, target) -> int:
                 break
         total ^= factor
     return total
+
+
+def plan_walk_value(seq, cochains, target) -> int:
+    """Evaluate the action on one face by walking the cut plans, uncompiled."""
+    dims = tuple(c.dim for c in cochains)
+    total = 0
+    for plan in _cut_plans(seq, dims, len(target) - 1):
+        for c, positions in zip(cochains, plan):
+            if tuple(target[p] for p in positions) not in c.support:
+                break
+        else:
+            total ^= 1
+    return total
+
+
+def act_reference(surjs, cochains, n: int, dim: int) -> Cochain:
+    """Sum of the surjections acting on the cochains, one face and one surjection at a time."""
+    return Cochain(n, dim, [f for f in faces_of_dim(n, dim)
+                            if sum(plan_walk_value(s, cochains, f) for s in surjs) % 2])
+
+
+def delta_reference(a: Cochain) -> Cochain:
+    """Coboundary as the parity of codimension-one subfaces, over every (dim+1)-face."""
+    out = []
+    for f in faces_of_dim(a.ambient, a.dim + 1):
+        cnt = sum(1 for i in range(len(f)) if f[:i] + f[i + 1:] in a.support)
+        if cnt % 2:
+            out.append(f)
+    return Cochain(a.ambient, a.dim + 1, out)
 
 
 def cup0_value(a: Cochain, b: Cochain, target) -> int:

@@ -1,6 +1,7 @@
 """End-to-end CLI runs through cli.main, including every exit code."""
 
 import json
+import time
 
 import pytest
 
@@ -78,6 +79,27 @@ def test_bad_json_file(capsys, tmp_path):
     path.write_text("not json")
     rc, _ = run(capsys, "cup", "--i", "0", str(path), str(path))
     assert rc == 2
+
+
+def test_boolean_and_negative_fields_exit_two(capsys, tmp_path):
+    for i, doc in enumerate(({"ambient": True, "dim": 0, "support": [[0]]},
+                             {"ambient": 1, "dim": True, "support": [[0, 1]]},
+                             {"ambient": 1, "dim": 0, "support": [[True]]},
+                             {"ambient": 1, "dim": -1, "support": []})):
+        path = tmp_path / f"c{i}.json"
+        path.write_text(json.dumps(doc))
+        rc, out = run(capsys, "cup", "--i", "0", str(path), str(path))
+        assert rc == 2 and out == ""
+
+
+def test_zeta_out_of_range_is_fast_and_empty(capsys, cochain_file):
+    # the witness has dimension 2 + 2 - 12 - 1 < 0, so no witness surjection is built
+    alpha = cochain_file("a.json", 2, 1, [(0, 1), (0, 2)])
+    t0 = time.perf_counter()
+    rc, out = run(capsys, "zeta", "--i", "12", alpha, alpha)
+    assert time.perf_counter() - t0 < 2
+    assert rc == 0
+    assert out == '{"ambient": 2, "dim": -9, "support": []}\n'
 
 
 def test_argparse_errors_exit_two(capsys, cochain_file):

@@ -52,9 +52,15 @@ def test_from_dict_rejects_junk():
                 {"ambient": 2, "dim": 0, "support": [[0]], "extra": 1},
                 {"ambient": 2, "dim": "0", "support": []},
                 {"ambient": 2, "dim": 0, "support": [0]},
-                {"ambient": 2, "dim": 0, "support": [[0], [0]]}):
+                {"ambient": 2, "dim": 0, "support": [[0], [0]]},
+                {"ambient": True, "dim": 0, "support": [[0]]},
+                {"ambient": 2, "dim": False, "support": [[0]]},
+                {"ambient": 2, "dim": 0, "support": [[True]]},
+                {"ambient": 2, "dim": -1, "support": []}):
         with pytest.raises(ValueError):
             Cochain.from_dict(doc)
+    with pytest.raises(ValueError):
+        Cochain(2, 0, [(False,)])
 
 
 def test_delta_golden():
