@@ -19,7 +19,7 @@ from __future__ import annotations
 from itertools import product as iterproduct
 
 from .f2 import F2Sum, singleton, toggle
-from .simplicial import aw, boundary, ez, is_degenerate, product, shih
+from .simplicial import aw, ez, is_degenerate, product, shih
 
 
 def identity_perm(r: int) -> tuple[int, ...]:
@@ -75,11 +75,6 @@ def block_compose(sigma: tuple[int, ...], taus) -> tuple[int, ...]:
             out[pos + j] = base + tau[j]
         pos += sizes[i]
     return tuple(out)
-
-
-def be_boundary(c: F2Sum) -> F2Sum:
-    """Chain boundary: delete one entry at a time, dropping degenerate tuples."""
-    return boundary(c)
 
 
 def sigma_act(sigma: tuple[int, ...], c: F2Sum) -> F2Sum:

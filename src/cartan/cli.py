@@ -88,41 +88,16 @@ def format_surjections(terms, as_json: bool) -> str:
     return " + ".join("(" + ",".join(str(v) for v in s) + ")" for s in seqs)
 
 
-def cmd_cup(args) -> int:
-    a = load_cochain(args.alpha, args.n)
-    b = load_cochain(args.beta, args.n)
-    if a.ambient != b.ambient:
+def cmd_cochain_op(args) -> int:
+    """Load the cochain operands on one simplex, check them, and print `args.op` of them."""
+    paths = [args.alpha] + ([args.beta] if "beta" in args else [])
+    cochains = [load_cochain(path, args.n) for path in paths]
+    if any(c.ambient != cochains[0].ambient for c in cochains):
         raise CliError(SHAPE, "cochains live on different ambient simplices")
-    print_cochain(cup(args.i, a, b))
-    return OK
-
-
-def cmd_sq(args) -> int:
-    a = load_cochain(args.alpha, args.n)
-    require_cocycle(args.alpha, a)
-    print_cochain(steenrod_square(args.k, a))
-    return OK
-
-
-def cmd_zeta(args) -> int:
-    a = load_cochain(args.alpha, args.n)
-    b = load_cochain(args.beta, args.n)
-    if a.ambient != b.ambient:
-        raise CliError(SHAPE, "cochains live on different ambient simplices")
-    require_cocycle(args.alpha, a)
-    require_cocycle(args.beta, b)
-    print_cochain(cartan_coboundary(args.i, a, b))
-    return OK
-
-
-def cmd_defect(args) -> int:
-    a = load_cochain(args.alpha, args.n)
-    b = load_cochain(args.beta, args.n)
-    if a.ambient != b.ambient:
-        raise CliError(SHAPE, "cochains live on different ambient simplices")
-    require_cocycle(args.alpha, a)
-    require_cocycle(args.beta, b)
-    print_cochain(cartan_defect(args.i, a, b))
+    if args.cocycles:
+        for path, c in zip(paths, cochains):
+            require_cocycle(path, c)
+    print_cochain(args.op(args, *cochains))
     return OK
 
 
@@ -172,7 +147,14 @@ def cmd_surj_compose(args) -> int:
     return OK
 
 
+CARTAN_FLAGS = ("i", "n", "trials", "seed", "dim")
+
+
 def cmd_verify(args) -> int:
+    unused = ("max_degree",) if args.suite == "cartan" else CARTAN_FLAGS
+    for flag in unused:
+        if getattr(args, flag) is not None:
+            raise CliError(PARSE, f"verify {args.suite} does not take --{flag.replace('_', '-')}")
     if args.suite == "cartan":
         if args.i is None or args.n is None:
             raise CliError(PARSE, "the cartan sweep needs --i and --n")
@@ -183,15 +165,9 @@ def cmd_verify(args) -> int:
                             trials=100 if args.trials is None else args.trials,
                             seed=0 if args.seed is None else args.seed,
                             dims=None if args.dim is None else tuple(args.dim))
-    elif args.suite in LEMMA_SUITES:
-        kwargs = {"max_degree": args.max_degree}
-        if args.trials is not None:
-            kwargs["samples"] = args.trials
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
-        report = LEMMA_SUITES[args.suite](**kwargs)
     else:
-        report = STRUCTURAL_SUITES[args.suite](args.max_degree)
+        suites = {**LEMMA_SUITES, **STRUCTURAL_SUITES}
+        report = suites[args.suite](max_degree=args.max_degree)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     return OK if report.ok else FAILED
 
@@ -213,27 +189,31 @@ def build_parser() -> argparse.ArgumentParser:
                     "coboundary witness on simplex cochains over GF(2).")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def cochain_cmd(name, handler, helptext, beta=True):
+    def cochain_cmd(name, op, helptext, cocycles, beta=True):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--n", type=nonneg, default=None,
                        help="expected ambient dimension")
         p.add_argument("alpha", help="cochain JSON file")
         if beta:
             p.add_argument("beta", help="cochain JSON file")
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=cmd_cochain_op, op=op, cocycles=cocycles)
         return p
 
-    p = cochain_cmd("cup", cmd_cup, "cup-i product of two cochains")
+    p = cochain_cmd("cup", lambda args, a, b: cup(args.i, a, b),
+                    "cup-i product of two cochains", cocycles=False)
     p.add_argument("--i", type=nonneg, required=True, help="cup index")
 
-    p = cochain_cmd("sq", cmd_sq, "chain-level Steenrod square of a cocycle", beta=False)
+    p = cochain_cmd("sq", lambda args, a: steenrod_square(args.k, a),
+                    "chain-level Steenrod square of a cocycle", cocycles=True, beta=False)
     p.add_argument("--k", type=nonneg, required=True, help="square index")
 
-    p = cochain_cmd("zeta", cmd_zeta, "Cartan coboundary witness of two cocycles")
+    p = cochain_cmd("zeta", lambda args, a, b: cartan_coboundary(args.i, a, b),
+                    "Cartan coboundary witness of two cocycles", cocycles=True)
     p.add_argument("--i", type=nonneg, required=True, help="witness index")
 
-    p = cochain_cmd("defect", cmd_defect,
-                    "Cartan defect of two cocycles (zero when the witness works)")
+    p = cochain_cmd("defect", lambda args, a, b: cartan_defect(args.i, a, b),
+                    "Cartan defect of two cocycles (zero when the witness works)",
+                    cocycles=True)
     p.add_argument("--i", type=nonneg, required=True, help="witness index")
 
     p = sub.add_parser("tr", help="table reduction of a tuple of permutations")
@@ -254,13 +234,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--i", type=nonneg, default=None, help="witness index (cartan sweep)")
     p.add_argument("--n", type=nonneg, default=None, help="ambient dimension (cartan sweep)")
     p.add_argument("--trials", type=nonneg, default=None,
-                   help="random trials (cartan) or samples above max degree (lemma suites)")
-    p.add_argument("--seed", type=int, default=None, help="PRNG seed")
-    p.add_argument("--max-degree", type=nonneg, default=4,
-                   help="exhaustive degree bound for lemma and structural suites")
+                   help="random trials (cartan sweep, default 100)")
+    p.add_argument("--seed", type=int, default=None, help="PRNG seed (cartan sweep, default 0)")
+    p.add_argument("--max-degree", type=nonneg, default=None,
+                   help="exhaustive degree bound of an identity suite (default: the suite's own)")
     p.add_argument("--dim", type=nonneg, nargs=2, default=None,
                    metavar=("DIM1", "DIM2"),
-                   help="fix the dimensions of the sampled cochain pair")
+                   help="fix the dimensions of the sampled cochain pair (cartan sweep)")
     p.set_defaults(handler=cmd_verify)
 
     return parser

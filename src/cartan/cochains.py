@@ -20,11 +20,10 @@ Cochains that this module builds itself (the results of the action,
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations_with_replacement
 from operator import itemgetter
 
 from .barratt_eccles import cartan_homotopy, cup_generator
-from .f2 import F2Sum, singleton, toggle
+from .f2 import singleton
 from .simplicial import faces_of_dim
 from .surjection import table_reduction
 
@@ -38,6 +37,8 @@ class Cochain:
         if ambient < 0:
             raise ValueError("ambient dimension must be nonnegative")
         faces = frozenset(tuple(f) for f in support)
+        if dim < 0 and faces:
+            raise ValueError(f"a cochain of dimension {dim} has no faces to support it")
         for f in faces:
             if len(f) != dim + 1:
                 raise ValueError(f"face {f} does not have dimension {dim}")
@@ -141,30 +142,6 @@ def delta(a: Cochain) -> Cochain:
     return Cochain._built(a.ambient, a.dim + 1, frozenset(acc))
 
 
-def diagonal_iter(k: int, face: tuple[int, ...]) -> F2Sum:
-    """All ways to cut a vertex tuple into k+1 consecutive blocks sharing endpoints."""
-    if k < 0:
-        raise ValueError("need a nonnegative number of cuts")
-    m = len(face) - 1
-    terms = []
-    for cuts in combinations_with_replacement(range(m + 1), k):
-        cs = (0,) + cuts + (m,)
-        terms.append(tuple(face[cs[t]:cs[t + 1] + 1] for t in range(k + 1)))
-    return F2Sum(terms)
-
-
-def join(faces) -> tuple[int, ...] | None:
-    """Union of pairwise disjoint faces, None when any two overlap."""
-    seen: set[int] = set()
-    total = 0
-    for f in faces:
-        total += len(f)
-        seen.update(f)
-    if len(seen) != total:
-        return None
-    return tuple(sorted(seen))
-
-
 @lru_cache(maxsize=None)
 def _cut_plans(seq: tuple[int, ...], dims: tuple[int, ...], m: int):
     """Positions, per value, of every cut of an m-face that can evaluate nonzero.
@@ -259,28 +236,6 @@ def apply_surjection(seq: tuple[int, ...], cochains, target: tuple[int, ...]) ->
     if any(c.ambient != ambient for c in cochains):
         raise ValueError("cochains live on different simplices")
     return len(_evaluate(_compile((seq,), cochains, len(target) - 1), (target,)))
-
-
-def surjection_monomials(seq: tuple[int, ...], target: tuple[int, ...]) -> frozenset:
-    """Parity-reduced set of per-value face assignments realized by cuts of `target`.
-
-    A member (F_1, ..., F_r) stands for the summand prod_v alpha_v(F_v);
-    no dimension constraint is imposed, so this is the expansion for
-    formal cochain inputs.  Enumerates every cut directly (no pruning),
-    which keeps it an independent cross-check of `apply_surjection`.
-    """
-    r = max(seq)
-    acc: set = set()
-    for blocks in diagonal_iter(len(seq) - 1, target):
-        joins = []
-        for v in range(1, r + 1):
-            g = join([blocks[t] for t, val in enumerate(seq) if val == v])
-            if g is None:
-                break
-            joins.append(g)
-        else:
-            toggle(acc, tuple(joins))
-    return frozenset(acc)
 
 
 @lru_cache(maxsize=None)

@@ -83,15 +83,6 @@ def singleton(term) -> F2Sum:
     return F2Sum((term,))
 
 
-def linear(f: Callable) -> Callable[[F2Sum], F2Sum]:
-    """Lift a basis-level map (term -> F2Sum) to a map on sums."""
-
-    def lifted(c: F2Sum) -> F2Sum:
-        return c.map_basis(f)
-
-    return lifted
-
-
 def hom_boundary(f: Callable[[F2Sum], F2Sum],
                  boundary_dom: Callable[[F2Sum], F2Sum],
                  boundary_cod: Callable[[F2Sum], F2Sum]) -> Callable[[F2Sum], F2Sum]:

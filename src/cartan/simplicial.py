@@ -71,23 +71,6 @@ def factors(z: tuple) -> tuple[tuple, tuple]:
     return tuple(a for a, _ in z), tuple(b for _, b in z)
 
 
-def tensor_boundary(t: F2Sum) -> F2Sum:
-    """Boundary on tensor terms: differentiate each factor in turn."""
-    acc: set = set()
-    for x, y in t:
-        if len(x) > 1:
-            for i in range(len(x)):
-                xf = x[:i] + x[i + 1:]
-                if not is_degenerate(xf):
-                    toggle(acc, (xf, y))
-        if len(y) > 1:
-            for i in range(len(y)):
-                yf = y[:i] + y[i + 1:]
-                if not is_degenerate(yf):
-                    toggle(acc, (x, yf))
-    return F2Sum(frozenset(acc))
-
-
 def aw(c: F2Sum) -> F2Sum:
     """Alexander-Whitney map: front face of one factor tensor back face of the other.
 
@@ -176,10 +159,6 @@ def faces_of_dim(n: int, m: int) -> list[tuple[int, ...]]:
 def all_faces(n: int) -> list[tuple[int, ...]]:
     """Every nondegenerate face of the standard n-simplex."""
     return list(chain.from_iterable(faces_of_dim(n, m) for m in range(n + 1)))
-
-
-def top_face(n: int) -> tuple[int, ...]:
-    return tuple(range(n + 1))
 
 
 def degree_simplices(n: int, d: int) -> list[tuple[int, ...]]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement
 
-from .f2 import F2Sum, singleton, toggle
+from .f2 import F2Sum, toggle
 
 
 def is_basis_surjection(seq: tuple[int, ...], r: int) -> bool:
@@ -26,22 +26,6 @@ def is_basis_surjection(seq: tuple[int, ...], r: int) -> bool:
     if any(a == b for a, b in zip(seq, seq[1:])):
         return False
     return len(set(seq)) == r
-
-
-def surj_normalize(seq, r: int) -> F2Sum:
-    """The class of a value tuple: itself if a basis element, zero otherwise."""
-    seq = tuple(seq)
-    for v in seq:
-        if not 1 <= v <= r:
-            raise ValueError(f"value {v} outside 1..{r}")
-    if is_basis_surjection(seq, r):
-        return singleton(seq)
-    return F2Sum()
-
-
-def surj_degree(seq: tuple[int, ...]) -> int:
-    """Excess of a basis element: length minus arity."""
-    return len(seq) - max(seq)
 
 
 def surj_boundary(c: F2Sum) -> F2Sum:

@@ -1,8 +1,16 @@
-"""Verification sweeps: homotopy lemma suites, structural identities, Cartan defects.
+"""Verification sweeps: operad and simplicial identities, and the Cartan defect sweep.
 
-Each suite walks an exhaustive basis range (plus seeded random samples
-where the basis is unbounded or large) and records counterexample
-payloads; an empty failure list means the identity held everywhere.
+`IDENTITIES` holds every identity suite as data: a default degree
+bound, an enumerator of the basis elements of one degree, and labelled
+pairs (lhs, rhs) of linear maps that must agree.  `run_identities`
+checks every pair on every basis element through the degree bound, so
+coverage is exhaustive and no seed is involved.  The arity-2 basis has
+exactly two elements in each degree, which is why the four homotopy
+lemma suites go up to degree 8 by default.
+
+`run_cartan` is the one seeded sweep: it evaluates the Cartan defect
+on random coboundary pairs of a standard simplex.  Each suite returns a
+`VerifyReport`; an empty failure list means every check held.
 """
 
 from __future__ import annotations
@@ -10,10 +18,11 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import permutations
 
-from .barratt_eccles import (MID_SWAP4, SWAP2, be_boundary, compose_perm,
-                             cup_generator, diag_embed, diagonal_homotopy,
-                             cartan_homotopy, embedding_homotopy, nerve_map,
+from .barratt_eccles import (MID_SWAP4, SWAP2, cartan_homotopy, diag_embed,
+                             diagonal_homotopy, embedding_homotopy, nerve_map,
                              outer_embed, product_of_squares, sigma_act,
                              squared_product)
 from .cochains import Cochain, cartan_defect, delta, ones
@@ -21,6 +30,11 @@ from .f2 import F2Sum, hom_boundary, singleton
 from .simplicial import (aw, boundary, degree_simplices, ez, faces_of_dim,
                          is_degenerate, product, shih)
 from .surjection import surj_act, surj_boundary, table_reduction
+
+# largest ambient simplex of the structural suites' bases (shih-homotopy: sum of both)
+MAX_AMBIENT = 4
+# arities of the Barratt-Eccles elements fed to table reduction
+TR_ARITIES = (2, 3)
 
 
 @dataclass
@@ -51,213 +65,143 @@ class VerifyReport:
         }
 
 
-def sum_to_lists(c: F2Sum) -> list:
-    return [[list(part) for part in term] for term in c.sorted_terms()]
-
-
-# --- basis enumeration and sampling ---
-
-def swap_classes(degree: int) -> list[tuple]:
-    """Both arity-2 basis elements of the given degree (entries alternate)."""
-    base = cup_generator(degree)
-    return [base, tuple(compose_perm(SWAP2, s) for s in base)]
-
+# --- bases, one degree at a time ---
 
 def arity_basis(r: int, degree: int) -> list[tuple]:
-    """Every arity-r basis element of the given degree."""
-    from itertools import permutations
-
-    perms = [tuple(p) for p in permutations(range(1, r + 1))]
+    """Every arity-r Barratt-Eccles basis element of the given degree."""
+    perms = list(permutations(range(1, r + 1)))
     out = [(p,) for p in perms]
     for _ in range(degree):
         out = [e + (p,) for e in out for p in perms if p != e[-1]]
     return out
 
 
-def lemma_inputs(max_degree: int, samples: int, seed: int) -> list[tuple]:
-    """Exhaustive arity-2 elements through max_degree, then seeded samples one degree up."""
-    inputs = [e for d in range(max_degree + 1) for e in swap_classes(d)]
-    rng = random.Random(seed)
-    above = swap_classes(max_degree + 1)
-    inputs.extend(rng.choice(above) for _ in range(samples))
-    return inputs
+def product_basis(degree: int) -> list[tuple]:
+    """Nondegenerate product simplices of two standard simplices.
 
+    The two ambient dimensions sum to at most MAX_AMBIENT.
+    """
+    out = []
+    for a in range(MAX_AMBIENT + 1):
+        for b in range(MAX_AMBIENT + 1 - a):
+            for x in degree_simplices(a, degree):
+                for y in degree_simplices(b, degree):
+                    z = product(x, y)
+                    if not is_degenerate(z):
+                        out.append(z)
+    return out
+
+
+def tensor_basis(degree: int) -> list[tuple]:
+    """Tensor terms (x, y) of total degree `degree`.
+
+    x and y are faces of standard simplices of dimension at most MAX_AMBIENT.
+    """
+    return [(x, y)
+            for a in range(MAX_AMBIENT + 1) for b in range(MAX_AMBIENT + 1)
+            for p in range(degree + 1)
+            for x in faces_of_dim(a, p) for y in faces_of_dim(b, degree - p)]
+
+
+def tr_basis(degree: int) -> list[tuple]:
+    """Barratt-Eccles basis elements of every arity in TR_ARITIES."""
+    return [e for r in TR_ARITIES for e in arity_basis(r, degree)]
+
+
+# --- the sides of the identities ---
+
+def _intertwined(h):
+    """h applied after the swap, and the diagonal image of the swap applied after h."""
+    return (lambda c: h(sigma_act(SWAP2, c)),
+            lambda c: sigma_act(diag_embed(SWAP2), h(c)))
+
+
+def _perms_of(e: tuple) -> list[tuple]:
+    return list(permutations(range(1, len(e[0]) + 1)))
+
+
+def _acted_reduction(c: F2Sum) -> F2Sum:
+    """sigma . table_reduction(c) for every sigma of the arity, each term tagged by sigma."""
+
+    def per_basis(e):
+        tr = table_reduction(singleton(e))
+        return F2Sum((sigma, surj_act(sigma, s)) for sigma in _perms_of(e) for s in tr)
+
+    return c.map_basis(per_basis)
+
+
+def _reduced_action(c: F2Sum) -> F2Sum:
+    """table_reduction(sigma . c) for every sigma of the arity, each term tagged by sigma."""
+    return c.map_basis(lambda e: F2Sum(
+        (sigma, s)
+        for sigma in _perms_of(e) for s in table_reduction(sigma_act(sigma, singleton(e)))))
+
+
+IDENTITIES = {
+    "boundary-h1": (8, partial(arity_basis, 2), (
+        ("boundary-h1", hom_boundary(embedding_homotopy, boundary, boundary),
+         lambda c: sigma_act(MID_SWAP4, nerve_map(outer_embed, c)) + nerve_map(diag_embed, c)),
+    )),
+    "equiv-h1": (8, partial(arity_basis, 2), (
+        ("equiv-h1", *_intertwined(embedding_homotopy)),
+    )),
+    "boundary-h2": (8, partial(arity_basis, 2), (
+        ("outer-vs-squared-product", partial(nerve_map, outer_embed), squared_product),
+        ("boundary-h2", hom_boundary(diagonal_homotopy, boundary, boundary),
+         lambda c: nerve_map(diag_embed, c) + product_of_squares(c)),
+        ("total-boundary", hom_boundary(cartan_homotopy, boundary, boundary),
+         lambda c: sigma_act(MID_SWAP4, squared_product(c)) + product_of_squares(c)),
+    )),
+    "equiv-h2": (8, partial(arity_basis, 2), (
+        ("equiv-h2", *_intertwined(diagonal_homotopy)),
+    )),
+    "shih-homotopy": (4, product_basis, (
+        ("shih-homotopy", hom_boundary(shih, boundary, boundary),
+         lambda c: ez(aw(c)) + c),
+    )),
+    "aw-ez-identity": (4, tensor_basis, (
+        ("aw-ez-identity", lambda c: aw(ez(c)), lambda c: c),
+    )),
+    "tr-chain-map": (4, tr_basis, (
+        ("chain-map", lambda c: surj_boundary(table_reduction(c)),
+         lambda c: table_reduction(boundary(c))),
+        ("equivariance", _acted_reduction, _reduced_action),
+    )),
+}
+
+
+def _lists(x):
+    """A nested tuple as nested lists, for the JSON report."""
+    return [_lists(y) for y in x] if isinstance(x, tuple) else x
+
+
+def run_identities(name: str, max_degree: int | None = None) -> VerifyReport:
+    """Check every identity of suite `name` on every basis element through `max_degree`.
+
+    `max_degree` defaults to the suite's own bound in `IDENTITIES`.
+    """
+    default, basis, identities = IDENTITIES[name]
+    if max_degree is None:
+        max_degree = default
+    t0 = time.perf_counter()
+    failures = []
+    trials = 0
+    for degree in range(max_degree + 1):
+        for e in basis(degree):
+            trials += 1
+            c = singleton(e)
+            for label, lhs, rhs in identities:
+                if lhs(c) != rhs(c):
+                    failures.append({"identity": label, "element": _lists(e)})
+    return VerifyReport(name, failures, time.perf_counter() - t0,
+                        trials=trials, params={"max_degree": max_degree})
+
+
+# --- the Cartan defect sweep ---
 
 def random_cochain(rng: random.Random, n: int, dim: int) -> Cochain:
     return Cochain(n, dim, [f for f in faces_of_dim(n, dim) if rng.getrandbits(1)])
 
-
-# --- homotopy lemma suites ---
-
-def _lemma_report(name, max_degree, samples, seed, check) -> VerifyReport:
-    t0 = time.perf_counter()
-    failures = []
-    inputs = lemma_inputs(max_degree, samples, seed)
-    for e in inputs:
-        failure = check(e)
-        if failure is not None:
-            failures.append(failure)
-    return VerifyReport(name, failures, time.perf_counter() - t0,
-                        trials=len(inputs), seed=seed,
-                        params={"max_degree": max_degree, "samples": samples})
-
-
-def run_boundary_h1(max_degree: int = 4, samples: int = 500, seed: int = 0) -> VerifyReport:
-    """boundary(h1) equals the twisted outer nerve map plus the diagonal nerve map."""
-    d_h1 = hom_boundary(embedding_homotopy, be_boundary, be_boundary)
-
-    def check(e):
-        c = singleton(e)
-        lhs = d_h1(c)
-        rhs = sigma_act(MID_SWAP4, nerve_map(outer_embed, c)) + nerve_map(diag_embed, c)
-        if lhs != rhs:
-            return {"element": [list(p) for p in e],
-                    "lhs": sum_to_lists(lhs), "rhs": sum_to_lists(rhs)}
-        return None
-
-    return _lemma_report("boundary-h1", max_degree, samples, seed, check)
-
-
-def run_equiv_h1(max_degree: int = 4, samples: int = 500, seed: int = 0) -> VerifyReport:
-    """h1 intertwines the swap action with its diagonal arity-4 image."""
-
-    def check(e):
-        c = singleton(e)
-        lhs = embedding_homotopy(sigma_act(SWAP2, c))
-        rhs = sigma_act(diag_embed(SWAP2), embedding_homotopy(c))
-        if lhs != rhs:
-            return {"element": [list(p) for p in e],
-                    "lhs": sum_to_lists(lhs), "rhs": sum_to_lists(rhs)}
-        return None
-
-    return _lemma_report("equiv-h1", max_degree, samples, seed, check)
-
-
-def run_boundary_h2(max_degree: int = 4, samples: int = 500, seed: int = 0) -> VerifyReport:
-    """boundary(h2) compares the diagonal nerve map with product_of_squares.
-
-    Also checks that the outer nerve map agrees with squared_product and
-    that the combined homotopy has the advertised total boundary.
-    """
-    d_h2 = hom_boundary(diagonal_homotopy, be_boundary, be_boundary)
-    d_h = hom_boundary(cartan_homotopy, be_boundary, be_boundary)
-
-    def check(e):
-        c = singleton(e)
-        sq_prod = squared_product(c)
-        if nerve_map(outer_embed, c) != sq_prod:
-            return {"element": [list(p) for p in e], "identity": "outer-vs-squared-product"}
-        if d_h2(c) != nerve_map(diag_embed, c) + product_of_squares(c):
-            return {"element": [list(p) for p in e], "identity": "boundary-h2"}
-        if d_h(c) != sigma_act(MID_SWAP4, sq_prod) + product_of_squares(c):
-            return {"element": [list(p) for p in e], "identity": "total-boundary"}
-        return None
-
-    return _lemma_report("boundary-h2", max_degree, samples, seed, check)
-
-
-def run_equiv_h2(max_degree: int = 4, samples: int = 500, seed: int = 0) -> VerifyReport:
-    """h2 intertwines the swap action with its diagonal arity-4 image."""
-
-    def check(e):
-        c = singleton(e)
-        lhs = diagonal_homotopy(sigma_act(SWAP2, c))
-        rhs = sigma_act(diag_embed(SWAP2), diagonal_homotopy(c))
-        if lhs != rhs:
-            return {"element": [list(p) for p in e],
-                    "lhs": sum_to_lists(lhs), "rhs": sum_to_lists(rhs)}
-        return None
-
-    return _lemma_report("equiv-h2", max_degree, samples, seed, check)
-
-
-# --- structural identity suites ---
-
-def product_basis(n_left: int, n_right: int, degree: int) -> list[tuple]:
-    """Nondegenerate product simplices of two standard simplices."""
-    out = []
-    for x in degree_simplices(n_left, degree):
-        for y in degree_simplices(n_right, degree):
-            z = product(x, y)
-            if not is_degenerate(z):
-                out.append(z)
-    return out
-
-
-def run_shih_homotopy(max_degree: int = 4, max_ambient: int = 4) -> VerifyReport:
-    """boundary(shih) + shih(boundary) equals ez o aw + identity on products."""
-    t0 = time.perf_counter()
-    failures = []
-    trials = 0
-    d_shih = hom_boundary(shih, boundary, boundary)
-    for a in range(max_ambient + 1):
-        for b in range(max_ambient + 1 - a):
-            for degree in range(max_degree + 1):
-                for z in product_basis(a, b, degree):
-                    trials += 1
-                    c = singleton(z)
-                    if d_shih(c) != ez(aw(c)) + c:
-                        failures.append({"ambient": [a, b],
-                                         "element": [list(lab) for lab in z]})
-    return VerifyReport("shih-homotopy", failures, time.perf_counter() - t0,
-                        trials=trials,
-                        params={"max_degree": max_degree, "max_ambient": max_ambient})
-
-
-def run_aw_ez_identity(max_bidegree: int = 4, max_ambient: int = 4) -> VerifyReport:
-    """aw o ez is the identity on tensor terms."""
-    t0 = time.perf_counter()
-    failures = []
-    trials = 0
-    for a in range(max_ambient + 1):
-        faces_a = [f for m in range(a + 1) for f in faces_of_dim(a, m)]
-        for b in range(max_ambient + 1):
-            faces_b = [f for m in range(b + 1) for f in faces_of_dim(b, m)]
-            for x in faces_a:
-                for y in faces_b:
-                    if len(x) + len(y) - 2 > max_bidegree:
-                        continue
-                    trials += 1
-                    t = singleton((x, y))
-                    if aw(ez(t)) != t:
-                        failures.append({"ambient": [a, b],
-                                         "x": list(x), "y": list(y)})
-    return VerifyReport("aw-ez-identity", failures, time.perf_counter() - t0,
-                        trials=trials,
-                        params={"max_bidegree": max_bidegree, "max_ambient": max_ambient})
-
-
-def run_tr_chain_map(max_degree: int = 4, arities=(2, 3)) -> VerifyReport:
-    """table_reduction commutes with boundaries and with the symmetric action."""
-    from itertools import permutations
-
-    t0 = time.perf_counter()
-    failures = []
-    trials = 0
-    for r in arities:
-        sigmas = [tuple(p) for p in permutations(range(1, r + 1))]
-        for degree in range(max_degree + 1):
-            for e in arity_basis(r, degree):
-                trials += 1
-                c = singleton(e)
-                tr = table_reduction(c)
-                if surj_boundary(tr) != table_reduction(be_boundary(c)):
-                    failures.append({"element": [list(p) for p in e],
-                                     "identity": "chain-map"})
-                    continue
-                for sigma in sigmas:
-                    acted = F2Sum(surj_act(sigma, s) for s in tr)
-                    if acted != table_reduction(sigma_act(sigma, c)):
-                        failures.append({"element": [list(p) for p in e],
-                                         "sigma": list(sigma),
-                                         "identity": "equivariance"})
-                        break
-    return VerifyReport("tr-chain-map", failures, time.perf_counter() - t0,
-                        trials=trials,
-                        params={"max_degree": max_degree, "arities": list(arities)})
-
-
-# --- the Cartan defect sweep ---
 
 def cocycle_dim_pool(n: int, i: int) -> list[tuple[int, int]]:
     """Coboundary dimension pairs, preferring ones whose defect has faces to live on."""
@@ -294,15 +238,8 @@ def run_cartan(i: int, n: int, trials: int = 100, seed: int = 0,
                         params={} if dims is None else {"dims": list(dims)})
 
 
-LEMMA_SUITES = {
-    "boundary-h1": run_boundary_h1,
-    "equiv-h1": run_equiv_h1,
-    "boundary-h2": run_boundary_h2,
-    "equiv-h2": run_equiv_h2,
-}
+LEMMA_SUITES = {name: partial(run_identities, name)
+                for name in ("boundary-h1", "equiv-h1", "boundary-h2", "equiv-h2")}
 
-STRUCTURAL_SUITES = {
-    "shih-homotopy": run_shih_homotopy,
-    "aw-ez-identity": run_aw_ez_identity,
-    "tr-chain-map": run_tr_chain_map,
-}
+STRUCTURAL_SUITES = {name: partial(run_identities, name)
+                     for name in ("shih-homotopy", "aw-ez-identity", "tr-chain-map")}

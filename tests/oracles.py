@@ -11,10 +11,77 @@ shares `_cut_plans`, which the tests check against
 
 from itertools import combinations_with_replacement
 
-from cartan.cochains import (Cochain, _cut_plans, surjection_monomials,
-                             witness_surjections)
-from cartan.f2 import toggle
-from cartan.simplicial import faces_of_dim
+from cartan.cochains import Cochain, _cut_plans, witness_surjections
+from cartan.f2 import F2Sum, toggle
+from cartan.simplicial import faces_of_dim, is_degenerate
+
+
+def tensor_boundary(t: F2Sum) -> F2Sum:
+    """Boundary on tensor terms: differentiate each factor in turn."""
+    acc: set = set()
+    for x, y in t:
+        if len(x) > 1:
+            for i in range(len(x)):
+                xf = x[:i] + x[i + 1:]
+                if not is_degenerate(xf):
+                    toggle(acc, (xf, y))
+        if len(y) > 1:
+            for i in range(len(y)):
+                yf = y[:i] + y[i + 1:]
+                if not is_degenerate(yf):
+                    toggle(acc, (x, yf))
+    return F2Sum(frozenset(acc))
+
+
+def surj_degree(seq: tuple[int, ...]) -> int:
+    """Excess of a basis surjection: length minus arity."""
+    return len(seq) - max(seq)
+
+
+def diagonal_iter(k: int, face: tuple[int, ...]) -> F2Sum:
+    """All ways to cut a vertex tuple into k+1 consecutive blocks sharing endpoints."""
+    if k < 0:
+        raise ValueError("need a nonnegative number of cuts")
+    m = len(face) - 1
+    terms = []
+    for cuts in combinations_with_replacement(range(m + 1), k):
+        cs = (0,) + cuts + (m,)
+        terms.append(tuple(face[cs[t]:cs[t + 1] + 1] for t in range(k + 1)))
+    return F2Sum(terms)
+
+
+def join(faces) -> tuple[int, ...] | None:
+    """Union of pairwise disjoint faces, None when any two overlap."""
+    seen: set[int] = set()
+    total = 0
+    for f in faces:
+        total += len(f)
+        seen.update(f)
+    if len(seen) != total:
+        return None
+    return tuple(sorted(seen))
+
+
+def surjection_monomials(seq: tuple[int, ...], target: tuple[int, ...]) -> frozenset:
+    """Parity-reduced set of per-value face assignments realized by cuts of `target`.
+
+    A member (F_1, ..., F_r) stands for the summand prod_v alpha_v(F_v);
+    no dimension constraint is imposed, so this is the expansion for
+    formal cochain inputs.  Enumerates every cut directly (no pruning),
+    which keeps it an independent cross-check of `apply_surjection`.
+    """
+    r = max(seq)
+    acc: set = set()
+    for blocks in diagonal_iter(len(seq) - 1, target):
+        joins = []
+        for v in range(1, r + 1):
+            g = join([blocks[t] for t, val in enumerate(seq) if val == v])
+            if g is None:
+                break
+            joins.append(g)
+        else:
+            toggle(acc, tuple(joins))
+    return frozenset(acc)
 
 
 def brute_surjection_value(seq, cochains, target) -> int:

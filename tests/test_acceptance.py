@@ -109,9 +109,11 @@ def test_surjection_composition_example(criterion):
 def test_homotopy_lemma_suites(criterion):
     with criterion("homotopy lemma suites", 120.0):
         for name, fn in sorted(LEMMA_SUITES.items()):
-            report = fn(max_degree=4, samples=500, seed=0)
+            report = fn()
             assert report.ok, (name, report.failures[:1])
-            assert report.trials == 10 + 500
+            # both arity-2 elements of every degree through 8
+            assert report.trials == 18
+            assert report.params == {"max_degree": 8}
 
 
 def test_cartan_identity_sweep(criterion):
@@ -122,12 +124,15 @@ def test_cartan_identity_sweep(criterion):
                 assert report.ok, (i, n, report.failures[:1])
 
 
+STRUCTURAL_TRIALS = {"shih-homotopy": 447, "aw-ez-identity": 2950, "tr-chain-map": 4696}
+
+
 def test_structural_identities(criterion):
     with criterion("structural identities", 120.0):
         for name, fn in sorted(STRUCTURAL_SUITES.items()):
             report = fn()
             assert report.ok, (name, report.failures[:1])
-            assert report.trials > 0
+            assert report.trials == STRUCTURAL_TRIALS[name]
 
 
 def test_cup_product_sanity(criterion):

@@ -2,15 +2,15 @@
 
 import pytest
 
-from cartan.barratt_eccles import (ID2, MID_SWAP4, SWAP2, be_boundary,
-                                   be_compose, block_compose, cartan_homotopy,
+from cartan.barratt_eccles import (ID2, MID_SWAP4, SWAP2, be_compose,
+                                   block_compose, cartan_homotopy,
                                    compose_perm, cup_generator, diag_embed,
                                    diagonal_homotopy, embedding_homotopy,
                                    identity_perm, nerve_map, outer_embed,
                                    product_of_squares, sigma_act,
                                    squared_product, transposition)
 from cartan.f2 import F2Sum, ZERO, hom_boundary, singleton
-from cartan.simplicial import aw, product
+from cartan.simplicial import aw, boundary, product
 
 E4 = identity_perm(4)
 P23 = (1, 3, 2, 4)
@@ -60,7 +60,7 @@ def test_cup_generator_boundary():
     for i in (1, 2, 3):
         lower = singleton(cup_generator(i - 1))
         want = sigma_act(SWAP2, lower) + lower
-        assert be_boundary(singleton(cup_generator(i))) == want
+        assert boundary(singleton(cup_generator(i))) == want
 
 
 def test_sigma_act_normalizes():
@@ -85,10 +85,10 @@ def test_be_compose_respects_boundaries():
     e = cup_generator(1)
     a = singleton(cup_generator(1))
     b = singleton((SWAP2,))
-    lhs = be_boundary(be_compose(e, a, b))
-    rhs = (be_boundary(singleton(e)).map_basis(lambda t: be_compose(t, a, b))
-           + be_compose(e, be_boundary(a), b)
-           + be_compose(e, a, be_boundary(b)))
+    lhs = boundary(be_compose(e, a, b))
+    rhs = (boundary(singleton(e)).map_basis(lambda t: be_compose(t, a, b))
+           + be_compose(e, boundary(a), b)
+           + be_compose(e, a, boundary(b)))
     assert lhs == rhs
 
 
@@ -120,8 +120,8 @@ def test_homotopy_goldens_small():
 
 
 def test_homotopy_boundaries_small():
-    d_h1 = hom_boundary(embedding_homotopy, be_boundary, be_boundary)
-    d_h2 = hom_boundary(diagonal_homotopy, be_boundary, be_boundary)
+    d_h1 = hom_boundary(embedding_homotopy, boundary, boundary)
+    d_h2 = hom_boundary(diagonal_homotopy, boundary, boundary)
     for i in range(3):
         c = singleton(cup_generator(i))
         assert d_h1(c) == sigma_act(MID_SWAP4, squared_product(c)) + nerve_map(diag_embed, c)

@@ -170,10 +170,23 @@ def test_verify_respects_the_cap(capsys, monkeypatch):
 
 
 def test_verify_lemma_suite(capsys):
-    rc, out = run(capsys, "verify", "boundary-h1", "--max-degree", "1", "--trials", "4")
+    rc, out = run(capsys, "verify", "boundary-h1", "--max-degree", "1")
     assert rc == 0
     doc = json.loads(out)
     assert doc["suite"] == "boundary-h1" and doc["failures"] == []
+    assert doc["trials"] == 4 and doc["params"] == {"max_degree": 1}
+
+
+def test_verify_refuses_flags_a_suite_does_not_use(capsys):
+    cases = [(["verify", suite, *flags], flags[0])
+             for suite in ("boundary-h1", "tr-chain-map")
+             for flags in (["--i", "1"], ["--n", "2"], ["--trials", "4"], ["--seed", "3"],
+                           ["--dim", "0", "1"])]
+    cases.append((["verify", "--i", "0", "--n", "2", "--max-degree", "3"], "--max-degree"))
+    for argv, flag in cases:
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and flag in err
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):

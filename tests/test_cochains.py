@@ -5,25 +5,24 @@ import random
 import pytest
 
 from cartan.cochains import (Cochain, apply_surjection, cartan_coboundary,
-                             cartan_defect, cup, cup_surjections, delta,
-                             diagonal_iter, join, ones, steenrod_square,
-                             surjection_monomials, witness_surjections)
+                             cartan_defect, cup, cup_surjections, delta, ones,
+                             steenrod_square, witness_surjections)
 from cartan.f2 import F2Sum
 from cartan.simplicial import all_faces, faces_of_dim
 from cartan.verify import random_cochain
 
-from oracles import brute_surjection_value, cup0_value, restrict
+from oracles import (brute_surjection_value, cup0_value, diagonal_iter, join,
+                     restrict, surjection_monomials)
 
 
 def test_cochain_validation():
-    with pytest.raises(ValueError):
-        Cochain(2, 1, [(0, 1, 2)])
-    with pytest.raises(ValueError):
-        Cochain(2, 1, [(1, 0)])
-    with pytest.raises(ValueError):
-        Cochain(2, 1, [(0, 3)])
-    with pytest.raises(ValueError):
-        Cochain(-1, 0, [])
+    for args in ((2, 1, [(0, 1, 2)]),
+                 (2, 1, [(1, 0)]),
+                 (2, 1, [(0, 3)]),
+                 (-1, 0, []),
+                 (2, -1, [()])):
+        with pytest.raises(ValueError):
+            Cochain(*args)
     # out-of-range dims are fine while the support is empty
     assert Cochain(2, 7, []).is_zero
     assert Cochain(2, -1, []).is_zero

@@ -2,12 +2,14 @@
 
 import pytest
 
-from cartan.barratt_eccles import be_boundary, sigma_act
+from cartan.barratt_eccles import sigma_act
 from cartan.f2 import F2Sum, ZERO, singleton
+from cartan.simplicial import boundary
 from cartan.surjection import (compositions, is_basis_surjection,
                                reduce_table, surj_act, surj_boundary,
-                               surj_compose, surj_degree, surj_normalize,
-                               table_reduction)
+                               surj_compose, table_reduction)
+
+from oracles import surj_degree
 
 
 def test_basis_predicate():
@@ -15,14 +17,6 @@ def test_basis_predicate():
     assert not is_basis_surjection((1, 1, 2), 2)
     assert not is_basis_surjection((1, 3, 1), 3)
     assert not is_basis_surjection((1, 2), 3)
-
-
-def test_normalization():
-    assert surj_normalize((1, 2, 1), 2) == singleton((1, 2, 1))
-    assert surj_normalize((1, 1, 2), 2) == ZERO
-    assert surj_normalize((1, 2), 3) == ZERO
-    with pytest.raises(ValueError):
-        surj_normalize((0, 1), 2)
 
 
 def test_degree_is_the_excess():
@@ -113,7 +107,7 @@ def test_table_reduction_is_a_chain_map():
                 ((3, 1, 2), (1, 3, 2), (2, 3, 1))]
     for e in elements:
         c = singleton(e)
-        assert surj_boundary(table_reduction(c)) == table_reduction(be_boundary(c))
+        assert surj_boundary(table_reduction(c)) == table_reduction(boundary(c))
 
 
 def test_table_reduction_is_equivariant():

@@ -1,15 +1,18 @@
 """The verification harness itself: small smoke runs plus its helpers."""
 
-from cartan.verify import (LEMMA_SUITES, STRUCTURAL_SUITES, VerifyReport,
-                           arity_basis, cocycle_dim_pool, run_cartan,
-                           swap_classes)
+from cartan.barratt_eccles import SWAP2, compose_perm, cup_generator
+from cartan.f2 import ZERO
+from cartan.verify import (IDENTITIES, LEMMA_SUITES, STRUCTURAL_SUITES,
+                           VerifyReport, arity_basis, cocycle_dim_pool,
+                           run_cartan, run_identities)
 
 
 def test_swap_classes_cover_arity_two():
-    for degree in range(4):
-        pair = swap_classes(degree)
-        assert len(pair) == 2
-        assert set(pair) == set(arity_basis(2, degree))
+    # the arity-2 basis is the cup generator and its swap in every degree
+    for degree in range(6):
+        base = cup_generator(degree)
+        swapped = tuple(compose_perm(SWAP2, s) for s in base)
+        assert sorted(arity_basis(2, degree)) == sorted([base, swapped])
 
 
 def test_arity_basis_counts():
@@ -19,11 +22,26 @@ def test_arity_basis_counts():
 
 def test_lemma_suites_small():
     for name, fn in sorted(LEMMA_SUITES.items()):
-        report = fn(max_degree=2, samples=20, seed=3)
+        report = fn(max_degree=2)
         assert report.ok, report.failures
         assert report.suite == name
-        assert report.trials == 6 + 20
+        assert report.trials == 6
+        assert report.params == {"max_degree": 2}
         assert report.to_dict()["failures"] == []
+
+
+def test_identity_failures_name_the_identity_and_the_element(monkeypatch):
+    default, basis, identities = IDENTITIES["equiv-h1"]
+    wrong = ("identity-is-zero", lambda c: c, lambda c: ZERO)
+    monkeypatch.setitem(IDENTITIES, "equiv-h1", (default, basis, identities + (wrong,)))
+    report = run_identities("equiv-h1", max_degree=1)
+    assert report.trials == 4
+    assert report.failures == [
+        {"identity": "identity-is-zero", "element": [[1, 2]]},
+        {"identity": "identity-is-zero", "element": [[2, 1]]},
+        {"identity": "identity-is-zero", "element": [[1, 2], [2, 1]]},
+        {"identity": "identity-is-zero", "element": [[2, 1], [1, 2]]},
+    ]
 
 
 def test_structural_suites_small():
