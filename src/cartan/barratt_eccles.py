@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from itertools import product as iterproduct
 
-from .f2 import F2Sum, singleton, toggle
+from .f2 import F2Sum, singleton
 from .simplicial import aw, ez, is_degenerate, product, shih
 
 
@@ -79,24 +79,21 @@ def block_compose(sigma: tuple[int, ...], taus) -> tuple[int, ...]:
 
 def sigma_act(sigma: tuple[int, ...], c: F2Sum) -> F2Sum:
     """Left action of a permutation: compose every entry with sigma."""
-    acc: set = set()
-    for e in c:
-        if len(sigma) != len(e[0]):
-            raise ValueError("arity mismatch between permutation and element")
-        t = tuple(compose_perm(sigma, s) for s in e)
-        if not is_degenerate(t):
-            toggle(acc, t)
-    return F2Sum(frozenset(acc))
+
+    def images():
+        for e in c:
+            if len(sigma) != len(e[0]):
+                raise ValueError("arity mismatch between permutation and element")
+            t = tuple(compose_perm(sigma, s) for s in e)
+            if not is_degenerate(t):
+                yield t
+    return F2Sum(images())
 
 
 def nerve_map(fn, c: F2Sum) -> F2Sum:
     """Entry-wise application of a permutation map, normalized."""
-    acc: set = set()
-    for e in c:
-        t = tuple(fn(s) for s in e)
-        if not is_degenerate(t):
-            toggle(acc, t)
-    return F2Sum(frozenset(acc))
+    images = (tuple(fn(s) for s in e) for e in c)
+    return F2Sum(t for t in images if not is_degenerate(t))
 
 
 def be_compose(e: tuple, *inputs: F2Sum) -> F2Sum:
@@ -109,16 +106,17 @@ def be_compose(e: tuple, *inputs: F2Sum) -> F2Sum:
     r = len(e[0])
     if len(inputs) != r:
         raise ValueError(f"arity {r} element needs {r} inputs, got {len(inputs)}")
-    acc: set = set()
-    for combo in iterproduct(*(tuple(s) for s in inputs)):
-        prod = singleton(combo[-1])
-        for x in list(combo[:-1])[::-1] + [e]:
-            prod = ez(F2Sum((x, t) for t in prod))
-        for z in prod:
-            w = tuple(_block_label(lab, r) for lab in z)
-            if not is_degenerate(w):
-                toggle(acc, w)
-    return F2Sum(frozenset(acc))
+
+    def composites():
+        for combo in iterproduct(*(tuple(s) for s in inputs)):
+            prod = singleton(combo[-1])
+            for x in list(combo[:-1])[::-1] + [e]:
+                prod = ez(F2Sum((x, t) for t in prod))
+            for z in prod:
+                w = tuple(_block_label(lab, r) for lab in z)
+                if not is_degenerate(w):
+                    yield w
+    return F2Sum(composites())
 
 
 def _block_label(label, r):
@@ -167,10 +165,8 @@ def product_of_squares(c: F2Sum) -> F2Sum:
     unit = cup_generator(0)
 
     def per_basis(e):
-        out = F2Sum()
         for xf, yb in aw_double(e):
-            out = out + be_compose(unit, singleton(xf), singleton(yb))
-        return out
+            yield from be_compose(unit, singleton(xf), singleton(yb))
 
     return c.map_basis(per_basis)
 
@@ -189,14 +185,11 @@ def embedding_homotopy(c: F2Sum) -> F2Sum:
     """
 
     def per_basis(e):
-        n = len(e) - 1
-        terms = []
-        for i in range(n + 1):
+        for i in range(len(e)):
             t = tuple(compose_perm(MID_SWAP4, outer_embed(s)) for s in e[:i + 1]) \
                 + tuple(diag_embed(s) for s in e[i:])
             if not is_degenerate(t):
-                terms.append(t)
-        return F2Sum(terms)
+                yield t
 
     return c.map_basis(per_basis)
 
@@ -209,14 +202,10 @@ def diagonal_homotopy(c: F2Sum) -> F2Sum:
     """
 
     def per_basis(e):
-        if len(e) == 1:
-            return F2Sum()
-        terms = []
         for z in shih(singleton(product(e, e))):
             w = tuple(block_compose(ID2, (a, b)) for a, b in z)
             if not is_degenerate(w):
-                terms.append(w)
-        return F2Sum(terms)
+                yield w
 
     return c.map_basis(per_basis)
 

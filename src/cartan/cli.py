@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 a verification sweep found counterexamples,
 2 malformed arguments or input files, 3 shape mismatch (ambient or slot
-disagreements, ambient cap exceeded), 4 cocycle precondition violated.
+disagreements, a cap exceeded), 4 cocycle precondition violated.
 Output is deterministic for fixed inputs and seed: supports, term lists
 and JSON keys are all sorted.
 """
@@ -17,8 +17,9 @@ import sys
 from .cochains import (Cochain, cartan_coboundary, cartan_defect, cup, delta,
                        steenrod_square)
 from .f2 import F2Sum, singleton
+from .simplicial import is_degenerate
 from .surjection import is_basis_surjection, surj_compose, table_reduction
-from .verify import LEMMA_SUITES, STRUCTURAL_SUITES, run_cartan
+from .verify import IDENTITIES, LEMMA_SUITES, STRUCTURAL_SUITES, run_cartan
 
 OK = 0
 FAILED = 1
@@ -118,8 +119,8 @@ def parse_perm_tuple(data) -> tuple:
 
 def cmd_tr(args) -> int:
     e = parse_perm_tuple(read_json(args.element))
-    # a repeated adjacent entry makes the element degenerate, hence zero
-    c = F2Sum() if any(a == b for a, b in zip(e, e[1:])) else singleton(e)
+    # a degenerate element is zero
+    c = F2Sum() if is_degenerate(e) else singleton(e)
     print(format_surjections(table_reduction(c), args.json))
     return OK
 
@@ -166,6 +167,9 @@ def cmd_verify(args) -> int:
                             seed=0 if args.seed is None else args.seed,
                             dims=None if args.dim is None else tuple(args.dim))
     else:
+        _, cap, _, _ = IDENTITIES[args.suite]
+        if args.max_degree is not None and args.max_degree > cap:
+            raise CliError(SHAPE, f"verify {args.suite} caps --max-degree at {cap}")
         suites = {**LEMMA_SUITES, **STRUCTURAL_SUITES}
         report = suites[args.suite](max_degree=args.max_degree)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))

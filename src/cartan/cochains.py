@@ -127,14 +127,14 @@ def ones(n: int) -> Cochain:
 def delta(a: Cochain) -> Cochain:
     """Simplicial coboundary: parity of codimension-one subfaces in the support.
 
-    Walks the support and toggles every coface f + {v} of each face f,
+    Walks the support and flips every coface f + {v} of each face f,
     so the cost follows the support rather than the number of faces.
     """
     top = a.ambient + 1
     acc: set = set()
     for f in a.support:
         bounds = (-1,) + f + (top,)
-        # the cofaces of one face are distinct, so one update toggles each once
+        # the cofaces of one face are distinct, so one update flips each once
         acc.symmetric_difference_update(
             f[:k] + (v,) + f[k:]
             for k in range(len(f) + 1)

@@ -2,6 +2,9 @@
 
 A sum is stored as the set of basis terms with coefficient 1, so adding
 two sums is symmetric difference and every term is its own negative.
+A sum is built by passing an iterable of terms to `F2Sum`, which cancels
+them in pairs (a term given an odd number of times is kept once); every
+builder in the package passes it a generator.
 Terms may be any hashable, orderable values (tuples of ints, tuples of
 tuples, ...); the order is only used to print and serialize sums
 deterministically.  All values are immutable, all operations are pure.
@@ -12,26 +15,23 @@ from __future__ import annotations
 from typing import Callable, Hashable, Iterable
 
 
-def toggle(acc: set, term) -> None:
-    """Flip the coefficient of `term` in a working set (1+1=0)."""
-    if term in acc:
-        acc.remove(term)
-    else:
-        acc.add(term)
-
-
 class F2Sum:
     """A finite formal sum of basis terms with coefficients in GF(2)."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Iterable[Hashable] = ()):
+        # a frozenset has no repeats, so it is already reduced; __add__ relies on this
         if isinstance(terms, frozenset):
             self._terms = terms
             return
         acc: set = set()
         for t in terms:
-            toggle(acc, t)
+            # flip the coefficient of t: 1 + 1 = 0
+            if t in acc:
+                acc.remove(t)
+            else:
+                acc.add(t)
         self._terms = frozenset(acc)
 
     @property
@@ -66,13 +66,9 @@ class F2Sum:
             return "F2Sum()"
         return f"F2Sum({self.sorted_terms()!r})"
 
-    def map_basis(self, f: Callable[[Hashable], "F2Sum"]) -> "F2Sum":
-        """Apply a basis-level map and recombine, cancelling in pairs."""
-        acc: set = set()
-        for t in self._terms:
-            for u in f(t):
-                toggle(acc, u)
-        return F2Sum(frozenset(acc))
+    def map_basis(self, f: Callable[[Hashable], Iterable[Hashable]]) -> "F2Sum":
+        """Apply a basis-level map (returning any iterable of terms) and cancel in pairs."""
+        return F2Sum(u for t in self._terms for u in f(t))
 
 
 ZERO = F2Sum()

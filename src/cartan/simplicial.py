@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from itertools import chain, combinations, combinations_with_replacement
 
-from .f2 import F2Sum, toggle
+from .f2 import F2Sum
 
 
 def face(x: tuple, i: int) -> tuple:
@@ -48,15 +48,16 @@ def is_degenerate(x: tuple) -> bool:
 
 def boundary(c: F2Sum) -> F2Sum:
     """Sum of codimension-one faces, degenerate faces dropped."""
-    acc: set = set()
-    for x in c:
-        if len(x) == 1:
-            continue
-        for i in range(len(x)):
-            y = x[:i] + x[i + 1:]
-            if not is_degenerate(y):
-                toggle(acc, y)
-    return F2Sum(frozenset(acc))
+
+    def faces():
+        for x in c:
+            if len(x) == 1:
+                continue
+            for i in range(len(x)):
+                y = x[:i] + x[i + 1:]
+                if not is_degenerate(y):
+                    yield y
+    return F2Sum(faces())
 
 
 def product(x: tuple, y: tuple) -> tuple:
@@ -78,14 +79,15 @@ def aw(c: F2Sum) -> F2Sum:
     (first i+1 labels of x) (x) (labels i..n of y), skipping terms where
     either factor is degenerate.
     """
-    acc: set = set()
-    for z in c:
-        xs, ys = factors(z)
-        for i in range(len(z)):
-            xt, yt = xs[:i + 1], ys[i:]
-            if not (is_degenerate(xt) or is_degenerate(yt)):
-                toggle(acc, (xt, yt))
-    return F2Sum(frozenset(acc))
+
+    def splittings():
+        for z in c:
+            xs, ys = factors(z)
+            for i in range(len(z)):
+                xt, yt = xs[:i + 1], ys[i:]
+                if not (is_degenerate(xt) or is_degenerate(yt)):
+                    yield xt, yt
+    return F2Sum(splittings())
 
 
 def ez(t: F2Sum) -> F2Sum:
@@ -95,22 +97,23 @@ def ez(t: F2Sum) -> F2Sum:
     p positions (out of p+q) where the x coordinate advances; x is
     degenerated at the remaining positions and y at the chosen ones.
     """
-    acc: set = set()
-    for x, y in t:
-        p, q = len(x) - 1, len(y) - 1
-        for advance in combinations(range(p + q), p):
-            chosen = set(advance)
-            xs = x
-            for i in range(p + q):
-                if i not in chosen:
-                    xs = degeneracy(xs, i)
-            ys = y
-            for i in advance:
-                ys = degeneracy(ys, i)
-            z = tuple(zip(xs, ys))
-            if not is_degenerate(z):
-                toggle(acc, z)
-    return F2Sum(frozenset(acc))
+
+    def shuffles():
+        for x, y in t:
+            p, q = len(x) - 1, len(y) - 1
+            for advance in combinations(range(p + q), p):
+                chosen = set(advance)
+                xs = x
+                for i in range(p + q):
+                    if i not in chosen:
+                        xs = degeneracy(xs, i)
+                ys = y
+                for i in advance:
+                    ys = degeneracy(ys, i)
+                z = tuple(zip(xs, ys))
+                if not is_degenerate(z):
+                    yield z
+    return F2Sum(shuffles())
 
 
 def shih(c: F2Sum) -> F2Sum:
@@ -121,30 +124,31 @@ def shih(c: F2Sum) -> F2Sum:
     degeneracy at m - 1 = n - p - q - 1, and distribute the remaining
     degeneracy indices m..p+q+m over the two factors in all ways.
     """
-    acc: set = set()
-    for z in c:
-        n = len(z) - 1
-        if n == 0:
-            continue
-        xs, ys = factors(z)
-        for p in range(n):
-            for q in range(n - p):
-                m = n - p - q
-                xbase = degeneracy(xs[:n - p + 1], m - 1)
-                ybase = ys[:n - p - q] + ys[n - p:]
-                for vset in combinations(range(p + q + 1), p):
-                    taken = set(vset)
-                    xpart = xbase
-                    for v in vset:
-                        xpart = degeneracy(xpart, v + m)
-                    ypart = ybase
-                    for w in range(p + q + 1):
-                        if w not in taken:
-                            ypart = degeneracy(ypart, w + m)
-                    znew = tuple(zip(xpart, ypart))
-                    if not is_degenerate(znew):
-                        toggle(acc, znew)
-    return F2Sum(frozenset(acc))
+
+    def terms():
+        for z in c:
+            n = len(z) - 1
+            if n == 0:
+                continue
+            xs, ys = factors(z)
+            for p in range(n):
+                for q in range(n - p):
+                    m = n - p - q
+                    xbase = degeneracy(xs[:n - p + 1], m - 1)
+                    ybase = ys[:n - p - q] + ys[n - p:]
+                    for vset in combinations(range(p + q + 1), p):
+                        taken = set(vset)
+                        xpart = xbase
+                        for v in vset:
+                            xpart = degeneracy(xpart, v + m)
+                        ypart = ybase
+                        for w in range(p + q + 1):
+                            if w not in taken:
+                                ypart = degeneracy(ypart, w + m)
+                        znew = tuple(zip(xpart, ypart))
+                        if not is_degenerate(znew):
+                            yield znew
+    return F2Sum(terms())
 
 
 # --- the standard n-simplex ---

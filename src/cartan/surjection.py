@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement
 
-from .f2 import F2Sum, toggle
+from .f2 import F2Sum
 
 
 def is_basis_surjection(seq: tuple[int, ...], r: int) -> bool:
@@ -30,14 +30,15 @@ def is_basis_surjection(seq: tuple[int, ...], r: int) -> bool:
 
 def surj_boundary(c: F2Sum) -> F2Sum:
     """Delete one value at a time, dropping non-basis results."""
-    acc: set = set()
-    for s in c:
-        r = max(s)
-        for k in range(len(s)):
-            t = s[:k] + s[k + 1:]
-            if is_basis_surjection(t, r):
-                toggle(acc, t)
-    return F2Sum(frozenset(acc))
+
+    def deletions():
+        for s in c:
+            r = max(s)
+            for k in range(len(s)):
+                t = s[:k] + s[k + 1:]
+                if is_basis_surjection(t, r):
+                    yield t
+    return F2Sum(deletions())
 
 
 def surj_act(sigma: tuple[int, ...], s: tuple[int, ...]) -> tuple[int, ...]:
@@ -61,26 +62,25 @@ def surj_compose(s2: tuple[int, ...], p: int, s1: tuple[int, ...]) -> F2Sum:
     if not 1 <= p <= r2:
         raise ValueError(f"input position {p} outside 1..{r2}")
     k = s2.count(p)
-    acc: set = set()
-    for mids in combinations_with_replacement(range(1, n1 + 1), k - 1):
-        js = (1,) + mids + (n1,)
-        if any(a > b for a, b in zip(js, js[1:])):
-            continue
-        out: list[int] = []
-        t = 0
-        for v in s2:
-            if v < p:
-                out.append(v)
-            elif v > p:
-                out.append(v + r1 - 1)
-            else:
-                lo, hi = js[t], js[t + 1]
-                t += 1
-                out.extend(w + p - 1 for w in s1[lo - 1:hi])
-        seq = tuple(out)
-        if is_basis_surjection(seq, r1 + r2 - 1):
-            toggle(acc, seq)
-    return F2Sum(frozenset(acc))
+
+    def substitutions():
+        for mids in combinations_with_replacement(range(1, n1 + 1), k - 1):
+            js = (1,) + mids + (n1,)
+            out: list[int] = []
+            t = 0
+            for v in s2:
+                if v < p:
+                    out.append(v)
+                elif v > p:
+                    out.append(v + r1 - 1)
+                else:
+                    lo, hi = js[t], js[t + 1]
+                    t += 1
+                    out.extend(w + p - 1 for w in s1[lo - 1:hi])
+            seq = tuple(out)
+            if is_basis_surjection(seq, r1 + r2 - 1):
+                yield seq
+    return F2Sum(substitutions())
 
 
 def compositions(total: int, parts: int):
@@ -118,12 +118,13 @@ def reduce_table(perms: tuple, a: tuple[int, ...]) -> tuple[int, ...]:
 
 def table_reduction(c: F2Sum) -> F2Sum:
     """Degree-preserving operad map from Barratt-Eccles elements to surjections."""
-    acc: set = set()
-    for e in c:
-        r = len(e[0])
-        n = len(e) - 1
-        for a in compositions(n + r, n + 1):
-            seq = reduce_table(e, a)
-            if is_basis_surjection(seq, r):
-                toggle(acc, seq)
-    return F2Sum(frozenset(acc))
+
+    def readings():
+        for e in c:
+            r = len(e[0])
+            n = len(e) - 1
+            for a in compositions(n + r, n + 1):
+                seq = reduce_table(e, a)
+                if is_basis_surjection(seq, r):
+                    yield seq
+    return F2Sum(readings())

@@ -1,12 +1,14 @@
 """Verification sweeps: operad and simplicial identities, and the Cartan defect sweep.
 
 `IDENTITIES` holds every identity suite as data: a default degree
-bound, an enumerator of the basis elements of one degree, and labelled
-pairs (lhs, rhs) of linear maps that must agree.  `run_identities`
-checks every pair on every basis element through the degree bound, so
-coverage is exhaustive and no seed is involved.  The arity-2 basis has
-exactly two elements in each degree, which is why the four homotopy
-lemma suites go up to degree 8 by default.
+bound, the largest bound `cartan verify` accepts, an enumerator of the
+basis elements of one degree, and labelled pairs (lhs, rhs) of linear
+maps that must agree.  `run_identities` checks every pair on every
+basis element through the degree bound, so coverage is exhaustive and
+no seed is involved.  The arity-2 basis has exactly two elements in
+each degree, which is why the four homotopy lemma suites go up to
+degree 8 by default, and to 12 at most: the diagonal homotopy of a
+degree-d element has 2^d - 1 terms.
 
 `run_cartan` is the one seeded sweep: it evaluates the Cartan defect
 on random coboundary pairs of a standard simplex.  Each suite returns a
@@ -138,31 +140,31 @@ def _reduced_action(c: F2Sum) -> F2Sum:
 
 
 IDENTITIES = {
-    "boundary-h1": (8, partial(arity_basis, 2), (
+    "boundary-h1": (8, 12, partial(arity_basis, 2), (
         ("boundary-h1", hom_boundary(embedding_homotopy, boundary, boundary),
          lambda c: sigma_act(MID_SWAP4, nerve_map(outer_embed, c)) + nerve_map(diag_embed, c)),
     )),
-    "equiv-h1": (8, partial(arity_basis, 2), (
+    "equiv-h1": (8, 12, partial(arity_basis, 2), (
         ("equiv-h1", *_intertwined(embedding_homotopy)),
     )),
-    "boundary-h2": (8, partial(arity_basis, 2), (
+    "boundary-h2": (8, 12, partial(arity_basis, 2), (
         ("outer-vs-squared-product", partial(nerve_map, outer_embed), squared_product),
         ("boundary-h2", hom_boundary(diagonal_homotopy, boundary, boundary),
          lambda c: nerve_map(diag_embed, c) + product_of_squares(c)),
         ("total-boundary", hom_boundary(cartan_homotopy, boundary, boundary),
          lambda c: sigma_act(MID_SWAP4, squared_product(c)) + product_of_squares(c)),
     )),
-    "equiv-h2": (8, partial(arity_basis, 2), (
+    "equiv-h2": (8, 12, partial(arity_basis, 2), (
         ("equiv-h2", *_intertwined(diagonal_homotopy)),
     )),
-    "shih-homotopy": (4, product_basis, (
+    "shih-homotopy": (4, 4, product_basis, (
         ("shih-homotopy", hom_boundary(shih, boundary, boundary),
          lambda c: ez(aw(c)) + c),
     )),
-    "aw-ez-identity": (4, tensor_basis, (
+    "aw-ez-identity": (4, 8, tensor_basis, (
         ("aw-ez-identity", lambda c: aw(ez(c)), lambda c: c),
     )),
-    "tr-chain-map": (4, tr_basis, (
+    "tr-chain-map": (4, 4, tr_basis, (
         ("chain-map", lambda c: surj_boundary(table_reduction(c)),
          lambda c: table_reduction(boundary(c))),
         ("equivariance", _acted_reduction, _reduced_action),
@@ -180,7 +182,7 @@ def run_identities(name: str, max_degree: int | None = None) -> VerifyReport:
 
     `max_degree` defaults to the suite's own bound in `IDENTITIES`.
     """
-    default, basis, identities = IDENTITIES[name]
+    default, _, basis, identities = IDENTITIES[name]
     if max_degree is None:
         max_degree = default
     t0 = time.perf_counter()

@@ -9,28 +9,40 @@ shares `_cut_plans`, which the tests check against
 `brute_surjection_value` on their own.
 """
 
+from collections import Counter
 from itertools import combinations_with_replacement
 
 from cartan.cochains import Cochain, _cut_plans, witness_surjections
-from cartan.f2 import F2Sum, toggle
+from cartan.f2 import F2Sum
 from cartan.simplicial import faces_of_dim, is_degenerate
+
+
+def odd_terms(terms) -> frozenset:
+    """The terms that occur an odd number of times, counted one by one.
+
+    The oracles' own parity reduction: an F2Sum built from a frozenset
+    keeps it as it is, so no oracle goes through the constructor's loop.
+    """
+    return frozenset(t for t, k in Counter(terms).items() if k % 2)
 
 
 def tensor_boundary(t: F2Sum) -> F2Sum:
     """Boundary on tensor terms: differentiate each factor in turn."""
-    acc: set = set()
-    for x, y in t:
-        if len(x) > 1:
-            for i in range(len(x)):
-                xf = x[:i] + x[i + 1:]
-                if not is_degenerate(xf):
-                    toggle(acc, (xf, y))
-        if len(y) > 1:
-            for i in range(len(y)):
-                yf = y[:i] + y[i + 1:]
-                if not is_degenerate(yf):
-                    toggle(acc, (x, yf))
-    return F2Sum(frozenset(acc))
+
+    def faces():
+        for x, y in t:
+            if len(x) > 1:
+                for i in range(len(x)):
+                    xf = x[:i] + x[i + 1:]
+                    if not is_degenerate(xf):
+                        yield xf, y
+            if len(y) > 1:
+                for i in range(len(y)):
+                    yf = y[:i] + y[i + 1:]
+                    if not is_degenerate(yf):
+                        yield x, yf
+
+    return F2Sum(odd_terms(faces()))
 
 
 def surj_degree(seq: tuple[int, ...]) -> int:
@@ -47,7 +59,7 @@ def diagonal_iter(k: int, face: tuple[int, ...]) -> F2Sum:
     for cuts in combinations_with_replacement(range(m + 1), k):
         cs = (0,) + cuts + (m,)
         terms.append(tuple(face[cs[t]:cs[t + 1] + 1] for t in range(k + 1)))
-    return F2Sum(terms)
+    return F2Sum(odd_terms(terms))
 
 
 def join(faces) -> tuple[int, ...] | None:
@@ -71,17 +83,19 @@ def surjection_monomials(seq: tuple[int, ...], target: tuple[int, ...]) -> froze
     which keeps it an independent cross-check of `apply_surjection`.
     """
     r = max(seq)
-    acc: set = set()
-    for blocks in diagonal_iter(len(seq) - 1, target):
-        joins = []
-        for v in range(1, r + 1):
-            g = join([blocks[t] for t, val in enumerate(seq) if val == v])
-            if g is None:
-                break
-            joins.append(g)
-        else:
-            toggle(acc, tuple(joins))
-    return frozenset(acc)
+
+    def assignments():
+        for blocks in diagonal_iter(len(seq) - 1, target):
+            joins = []
+            for v in range(1, r + 1):
+                g = join([blocks[t] for t, val in enumerate(seq) if val == v])
+                if g is None:
+                    break
+                joins.append(g)
+            else:
+                yield tuple(joins)
+
+    return odd_terms(assignments())
 
 
 def brute_surjection_value(seq, cochains, target) -> int:
@@ -158,10 +172,12 @@ def zeta_monomials(i: int, n: int) -> frozenset:
     factor order within a slot pair is immaterial, so pairs are sorted;
     the remainder is parity-reduced.
     """
-    acc: set = set()
-    for s in witness_surjections(i):
-        for mono in surjection_monomials(s, tuple(range(n + 1))):
-            if len(mono[0]) != len(mono[1]) or len(mono[2]) != len(mono[3]):
-                continue
-            toggle(acc, (tuple(sorted(mono[:2])), tuple(sorted(mono[2:]))))
-    return frozenset(acc)
+
+    def monomials():
+        for s in witness_surjections(i):
+            for mono in surjection_monomials(s, tuple(range(n + 1))):
+                if len(mono[0]) != len(mono[1]) or len(mono[2]) != len(mono[3]):
+                    continue
+                yield tuple(sorted(mono[:2])), tuple(sorted(mono[2:]))
+
+    return odd_terms(monomials())

@@ -177,6 +177,15 @@ def test_verify_lemma_suite(capsys):
     assert doc["trials"] == 4 and doc["params"] == {"max_degree": 1}
 
 
+def test_verify_refuses_degrees_above_the_suite_cap(capsys):
+    for suite, cap in (("boundary-h2", 12), ("aw-ez-identity", 8), ("tr-chain-map", 4)):
+        assert cli.main(["verify", suite, "--max-degree", str(cap + 1)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and f"--max-degree at {cap}" in err
+    rc, out = run(capsys, "verify", "shih-homotopy", "--max-degree", "4")
+    assert rc == 0 and json.loads(out)["trials"] == 447
+
+
 def test_verify_refuses_flags_a_suite_does_not_use(capsys):
     cases = [(["verify", suite, *flags], flags[0])
              for suite in ("boundary-h1", "tr-chain-map")

@@ -11,8 +11,10 @@ terms = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=8)
 
 @given(terms)
 def test_double_insert_cancels(ts):
-    # x + x = 0
+    # x + x = 0, also when the terms come from a one-shot iterator
     assert F2Sum(ts + ts) == ZERO
+    assert F2Sum(iter(ts + ts)) == ZERO
+    assert F2Sum(t for t in ts for _ in range(3)) == F2Sum(ts)
 
 
 @given(terms, terms)
@@ -37,6 +39,9 @@ def test_parity_constructor():
     assert F2Sum([(1,), (2,), (1,)]) == singleton((2,))
     assert not F2Sum([(1,), (1,)])
     assert len(F2Sum([(1,), (2,)])) == 2
+    assert F2Sum(iter([(1,), (2,), (1,)])) == singleton((2,))
+    # a generator that yields (k,) k times: only the odd k survive
+    assert F2Sum((k,) for k in range(1, 6) for _ in range(k)) == F2Sum([(1,), (3,), (5,)])
 
 
 @given(terms)

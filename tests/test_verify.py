@@ -31,9 +31,9 @@ def test_lemma_suites_small():
 
 
 def test_identity_failures_name_the_identity_and_the_element(monkeypatch):
-    default, basis, identities = IDENTITIES["equiv-h1"]
+    default, cap, basis, identities = IDENTITIES["equiv-h1"]
     wrong = ("identity-is-zero", lambda c: c, lambda c: ZERO)
-    monkeypatch.setitem(IDENTITIES, "equiv-h1", (default, basis, identities + (wrong,)))
+    monkeypatch.setitem(IDENTITIES, "equiv-h1", (default, cap, basis, identities + (wrong,)))
     report = run_identities("equiv-h1", max_degree=1)
     assert report.trials == 4
     assert report.failures == [
