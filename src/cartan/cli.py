@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 a verification sweep found counterexamples,
 2 malformed arguments or input files, 3 shape mismatch (ambient or slot
 disagreements, a cap exceeded), 4 cocycle precondition violated.
+Every work knob has a cap: the ambient dimension (`CARTAN_MAX_N`), the
+witness index `--i` of `zeta`, `defect` and `verify cartan`, the
+sweep's `--trials`, and each identity suite's `--max-degree`.
 Output is deterministic for fixed inputs and seed: supports, term lists
 and JSON keys are all sorted.
 """
@@ -28,6 +31,11 @@ SHAPE = 3
 COCYCLE = 4
 
 DEFAULT_MAX_N = 6
+# largest --i of zeta, defect and verify cartan: building the witness surjections
+# takes about 2.7 times longer per index (10.3 s at i = 11)
+MAX_WITNESS_INDEX = 12
+# largest --trials of verify cartan
+MAX_TRIALS = 10_000
 
 
 class CliError(Exception):
@@ -46,6 +54,12 @@ def max_ambient() -> int:
         return int(raw)
     except ValueError:
         raise CliError(PARSE, f"CARTAN_MAX_N must be an integer, not {raw!r}") from None
+
+
+def require_at_most(command: str, flag: str, value: int | None, cap: int) -> None:
+    """Refuse a work knob above its cap."""
+    if value is not None and value > cap:
+        raise CliError(SHAPE, f"{command} caps --{flag} at {cap}")
 
 
 def read_json(path: str):
@@ -91,6 +105,8 @@ def format_surjections(terms, as_json: bool) -> str:
 
 def cmd_cochain_op(args) -> int:
     """Load the cochain operands on one simplex, check them, and print `args.op` of them."""
+    if args.witness:
+        require_at_most(args.command, "i", args.i, MAX_WITNESS_INDEX)
     paths = [args.alpha] + ([args.beta] if "beta" in args else [])
     cochains = [load_cochain(path, args.n) for path in paths]
     if any(c.ambient != cochains[0].ambient for c in cochains):
@@ -162,14 +178,15 @@ def cmd_verify(args) -> int:
         cap = max_ambient()
         if args.n > cap:
             raise CliError(SHAPE, f"ambient {args.n} exceeds the cap {cap} (CARTAN_MAX_N)")
+        require_at_most("verify cartan", "i", args.i, MAX_WITNESS_INDEX)
+        require_at_most("verify cartan", "trials", args.trials, MAX_TRIALS)
         report = run_cartan(args.i, args.n,
                             trials=100 if args.trials is None else args.trials,
                             seed=0 if args.seed is None else args.seed,
                             dims=None if args.dim is None else tuple(args.dim))
     else:
         _, cap, _, _ = IDENTITIES[args.suite]
-        if args.max_degree is not None and args.max_degree > cap:
-            raise CliError(SHAPE, f"verify {args.suite} caps --max-degree at {cap}")
+        require_at_most(f"verify {args.suite}", "max-degree", args.max_degree, cap)
         suites = {**LEMMA_SUITES, **STRUCTURAL_SUITES}
         report = suites[args.suite](max_degree=args.max_degree)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
@@ -193,14 +210,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "coboundary witness on simplex cochains over GF(2).")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def cochain_cmd(name, op, helptext, cocycles, beta=True):
+    def cochain_cmd(name, op, helptext, cocycles, beta=True, witness=False):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--n", type=nonneg, default=None,
                        help="expected ambient dimension")
         p.add_argument("alpha", help="cochain JSON file")
         if beta:
             p.add_argument("beta", help="cochain JSON file")
-        p.set_defaults(handler=cmd_cochain_op, op=op, cocycles=cocycles)
+        p.set_defaults(handler=cmd_cochain_op, op=op, cocycles=cocycles, witness=witness)
         return p
 
     p = cochain_cmd("cup", lambda args, a, b: cup(args.i, a, b),
@@ -212,12 +229,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=nonneg, required=True, help="square index")
 
     p = cochain_cmd("zeta", lambda args, a, b: cartan_coboundary(args.i, a, b),
-                    "Cartan coboundary witness of two cocycles", cocycles=True)
+                    "Cartan coboundary witness of two cocycles", cocycles=True, witness=True)
     p.add_argument("--i", type=nonneg, required=True, help="witness index")
 
     p = cochain_cmd("defect", lambda args, a, b: cartan_defect(args.i, a, b),
                     "Cartan defect of two cocycles (zero when the witness works)",
-                    cocycles=True)
+                    cocycles=True, witness=True)
     p.add_argument("--i", type=nonneg, required=True, help="witness index")
 
     p = sub.add_parser("tr", help="table reduction of a tuple of permutations")
@@ -265,3 +282,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     raise SystemExit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    run()

@@ -12,6 +12,16 @@ coboundary witness together with its defect.
 Evaluation compiles the cut plans once per call: every plan of every
 surjection becomes a tuple of (getter, support) pairs, one per cochain,
 and each target face is checked against those pairs in one tight loop.
+
+The coboundary is bit-parallel.  Number the (d+1)-faces of the
+n-simplex by their colex rank; the coface mask of a d-face f is the
+integer with a bit at the rank of every coface f + {v}.  `delta` XORs
+the masks of the support faces and decodes the set bits of the result
+into faces, so a cocycle costs one dictionary lookup and one XOR per
+support face and decodes nothing.  Masks and decoded faces are
+memoized per (ambient, dim) on first use, so the memo grows with the
+faces `delta` has met, not with the number of faces of the simplex.
+
 Cochains that this module builds itself (the results of the action,
 `delta` and `+`) skip the validation that the public constructor and
 `Cochain.from_dict` apply to outside input.
@@ -19,8 +29,9 @@ Cochains that this module builds itself (the results of the action,
 
 from __future__ import annotations
 
-from functools import lru_cache
-from operator import itemgetter
+from functools import lru_cache, partial, reduce
+from math import comb
+from operator import itemgetter, xor
 
 from .barratt_eccles import cartan_homotopy, cup_generator
 from .f2 import singleton
@@ -124,22 +135,74 @@ def ones(n: int) -> Cochain:
     return Cochain(n, 0, faces_of_dim(n, 0))
 
 
+class _Memo(dict):
+    """A dict that fills a missing key with `fill(key)` and keeps the value."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+def _colex_rank(face: tuple[int, ...]) -> int:
+    """Position of a strictly increasing vertex tuple among those of its length, in colex order."""
+    return sum(comb(v, j) for j, v in enumerate(face, 1))
+
+
+def _colex_face(size: int, rank: int) -> tuple[int, ...]:
+    """The strictly increasing tuple of `size` vertices whose colex rank is `rank`."""
+    face = []
+    for j in range(size, 0, -1):
+        v = j - 1
+        while comb(v + 1, j) <= rank:
+            v += 1
+        rank -= comb(v, j)
+        face.append(v)
+    return tuple(reversed(face))
+
+
+def _coface_mask(n: int, f: tuple[int, ...]) -> int:
+    """The cofaces f + {v} of a face of the n-simplex, as bits at their colex ranks."""
+    bounds = (-1,) + f + (n + 1,)
+    mask = 0
+    for k in range(len(f) + 1):
+        for v in range(bounds[k] + 1, bounds[k + 1]):
+            mask |= 1 << _colex_rank(f[:k] + (v,) + f[k:])
+    return mask
+
+
+def _bits(x: int):
+    """Positions of the set bits of a nonnegative integer, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+# (ambient, dim) -> (coface mask of each dim-face met so far,
+#                    (dim+1)-face of each colex rank decoded so far)
+_COFACES: dict = {}
+
+
 def delta(a: Cochain) -> Cochain:
     """Simplicial coboundary: parity of codimension-one subfaces in the support.
 
-    Walks the support and flips every coface f + {v} of each face f,
-    so the cost follows the support rather than the number of faces.
+    XORs the memoized coface masks of the support faces, and decodes
+    the set bits of the result into faces; a cocycle decodes nothing.
     """
-    top = a.ambient + 1
-    acc: set = set()
-    for f in a.support:
-        bounds = (-1,) + f + (top,)
-        # the cofaces of one face are distinct, so one update flips each once
-        acc.symmetric_difference_update(
-            f[:k] + (v,) + f[k:]
-            for k in range(len(f) + 1)
-            for v in range(bounds[k] + 1, bounds[k + 1]))
-    return Cochain._built(a.ambient, a.dim + 1, frozenset(acc))
+    n, dim = a.ambient, a.dim
+    memo = _COFACES.get((n, dim))
+    if memo is None:
+        memo = _COFACES[n, dim] = (_Memo(partial(_coface_mask, n)),
+                                   _Memo(partial(_colex_face, dim + 2)))
+    masks, faces = memo
+    x = reduce(xor, map(masks.__getitem__, a.support), 0)
+    return Cochain._built(n, dim + 1, frozenset(map(faces.__getitem__, _bits(x))))
 
 
 @lru_cache(maxsize=None)

@@ -1,10 +1,15 @@
 """End-to-end CLI runs through cli.main, including every exit code."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import cartan
 from cartan import cli
 from cartan.cochains import Cochain, cup
 from cartan.verify import VerifyReport
@@ -100,6 +105,38 @@ def test_zeta_out_of_range_is_fast_and_empty(capsys, cochain_file):
     assert time.perf_counter() - t0 < 2
     assert rc == 0
     assert out == '{"ambient": 2, "dim": -9, "support": []}\n'
+
+
+def test_witness_index_and_trials_caps(capsys, cochain_file):
+    # at the caps, every witness here has a dimension outside [0, n], so nothing is built
+    alpha = cochain_file("a.json", 2, 1, [(0, 1), (0, 2)])
+    top, over = cli.MAX_WITNESS_INDEX, cli.MAX_WITNESS_INDEX + 1
+    refused = [(["zeta", "--i", str(over), alpha, alpha], f"zeta caps --i at {top}"),
+               (["defect", "--i", str(over), alpha, alpha], f"defect caps --i at {top}"),
+               (["verify", "--i", str(over), "--n", "2"], f"verify cartan caps --i at {top}"),
+               (["verify", "--i", "0", "--n", "2", "--trials", str(cli.MAX_TRIALS + 1)],
+                f"verify cartan caps --trials at {cli.MAX_TRIALS}")]
+    for argv, message in refused:
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+    rc, out = run(capsys, "defect", "--i", str(top), alpha, alpha)
+    assert rc == 0 and json.loads(out) == {"ambient": 2, "dim": 4 - top, "support": []}
+    rc, out = run(capsys, "verify", "--i", str(top), "--n", "2", "--trials", "3")
+    assert rc == 0 and json.loads(out)["trials"] == 3
+    rc, out = run(capsys, "verify", "--i", "0", "--n", "0", "--trials", str(cli.MAX_TRIALS))
+    assert rc == 0 and json.loads(out)["trials"] == cli.MAX_TRIALS
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["surj-compose", "[1,2,1]", "1", "[1,2]"]
+    rc = cli.main(argv)
+    out = capsys.readouterr().out
+    env = dict(os.environ, PYTHONPATH=str(Path(cartan.__file__).resolve().parent.parent))
+    for module in ("cartan", "cartan.cli"):
+        proc = subprocess.run([sys.executable, "-m", module, *argv], capture_output=True,
+                              text=True, env=env, check=False)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (rc, out, "")
 
 
 def test_argparse_errors_exit_two(capsys, cochain_file):

@@ -56,6 +56,47 @@ def test_delta_matches_the_face_parity_reference(a):
     assert delta(a) == delta_reference(a)
 
 
+@st.composite
+def delta_sequences(draw):
+    """Cochains for one run of delta: ambients 0..12, dims -1..n, zero, sparse or dense.
+
+    Every nonzero cochain comes back later as a subset of its support
+    with fresh faces added, and the whole list is shuffled, so faces
+    repeat (memo hits after misses) and (ambient, dim) keys interleave.
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    seq = []
+    for _ in range(draw(st.integers(1, 6))):
+        n = draw(st.integers(0, 12))
+        dim = draw(st.integers(-1, n))
+        a = make_cochain(rng, n, dim, draw(st.sampled_from(KINDS)))
+        seq.append(a)
+        if a.support:
+            kept = rng.sample(sorted(a.support), rng.randint(1, len(a.support)))
+            fresh = make_cochain(rng, n, dim, "sparse").support
+            seq.append(Cochain(n, dim, set(kept) ^ fresh))
+    rng.shuffle(seq)
+    return seq
+
+
+@settings(deadline=None, max_examples=60)
+@given(delta_sequences())
+def test_delta_matches_the_reference_along_a_sequence(seq):
+    for a in seq:
+        assert delta(a) == delta_reference(a)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(10, 12), st.data())
+def test_delta_squares_to_zero_on_large_simplices(n, data):
+    dim = data.draw(st.integers(-1, n))
+    rng = data.draw(st.randoms(use_true_random=False))
+    a = make_cochain(rng, n, dim, data.draw(st.sampled_from(KINDS)))
+    da = delta(a)
+    assert da.dim == dim + 1 and da.ambient == n
+    assert delta(da).is_zero
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.integers(0, 5), pairs())
 def test_cup_matches_the_reference(i, ab):
