@@ -44,7 +44,6 @@ def transposition(r: int, a: int, b: int) -> tuple[int, ...]:
 
 ID2 = identity_perm(2)
 SWAP2 = transposition(2, 1, 2)
-ID4 = identity_perm(4)
 MID_SWAP4 = transposition(4, 2, 3)
 
 

@@ -5,7 +5,9 @@ Exit codes: 0 success, 1 a verification sweep found counterexamples,
 disagreements, a cap exceeded), 4 cocycle precondition violated.
 Every work knob has a cap: the ambient dimension (`CARTAN_MAX_N`), the
 witness index `--i` of `zeta`, `defect` and `verify cartan`, the
-sweep's `--trials`, and each identity suite's `--max-degree`.
+sweep's `--trials`, and each identity suite's `--max-degree`; `tr` and
+`surj-compose` count the values they would read and refuse a count
+above `MAX_VALUES_READ` before doing any work.
 Output is deterministic for fixed inputs and seed: supports, term lists
 and JSON keys are all sorted.
 """
@@ -16,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from math import comb
 
 from .cochains import (Cochain, cartan_coboundary, cartan_defect, cup, delta,
                        steenrod_square)
@@ -31,11 +34,14 @@ SHAPE = 3
 COCYCLE = 4
 
 DEFAULT_MAX_N = 6
-# largest --i of zeta, defect and verify cartan: building the witness surjections
-# takes about 2.7 times longer per index (10.3 s at i = 11)
+# largest --i of zeta, defect and verify cartan: defect runs i + 1 cup products,
+# and the witness has floor((i+2)^2 / 4) words of length i + 5 to evaluate
 MAX_WITNESS_INDEX = 12
 # largest --trials of verify cartan
 MAX_TRIALS = 10_000
+# largest number of values tr (rows x row length) or surj-compose (index tuples
+# x output length) may read; at the cap tr takes about 4 s, surj-compose about 1 s
+MAX_VALUES_READ = 2_000_000
 
 
 class CliError(Exception):
@@ -56,10 +62,10 @@ def max_ambient() -> int:
         raise CliError(PARSE, f"CARTAN_MAX_N must be an integer, not {raw!r}") from None
 
 
-def require_at_most(command: str, flag: str, value: int | None, cap: int) -> None:
-    """Refuse a work knob above its cap."""
+def require_at_most(command: str, what: str, value: int | None, cap: int) -> None:
+    """Refuse a work knob, or the work an input implies, above its cap."""
     if value is not None and value > cap:
-        raise CliError(SHAPE, f"{command} caps --{flag} at {cap}")
+        raise CliError(SHAPE, f"{command} caps {what} at {cap}")
 
 
 def read_json(path: str):
@@ -106,7 +112,7 @@ def format_surjections(terms, as_json: bool) -> str:
 def cmd_cochain_op(args) -> int:
     """Load the cochain operands on one simplex, check them, and print `args.op` of them."""
     if args.witness:
-        require_at_most(args.command, "i", args.i, MAX_WITNESS_INDEX)
+        require_at_most(args.command, "--i", args.i, MAX_WITNESS_INDEX)
     paths = [args.alpha] + ([args.beta] if "beta" in args else [])
     cochains = [load_cochain(path, args.n) for path in paths]
     if any(c.ambient != cochains[0].ambient for c in cochains):
@@ -135,8 +141,14 @@ def parse_perm_tuple(data) -> tuple:
 
 def cmd_tr(args) -> int:
     e = parse_perm_tuple(read_json(args.element))
-    # a degenerate element is zero
-    c = F2Sum() if is_degenerate(e) else singleton(e)
+    # a degenerate element is zero, so no table is read
+    if is_degenerate(e):
+        c = F2Sum()
+    else:
+        n, r = len(e) - 1, len(e[0])
+        # one row of n + r values per composition of n + r into n + 1 parts
+        require_at_most("tr", "values read", comb(n + r - 1, n) * (n + r), MAX_VALUES_READ)
+        c = singleton(e)
     print(format_surjections(table_reduction(c), args.json))
     return OK
 
@@ -160,6 +172,10 @@ def cmd_surj_compose(args) -> int:
     s1 = parse_surjection(args.inner)
     if not 1 <= args.p <= max(s2):
         raise CliError(SHAPE, f"slot {args.p} is out of range for arity {max(s2)}")
+    # one word of len(s2) + len(s1) - 1 values per nondecreasing (k-1)-tuple over 1..len(s1)
+    k = s2.count(args.p)
+    require_at_most("surj-compose", "values read",
+                    comb(len(s1) + k - 2, k - 1) * (len(s2) + len(s1) - 1), MAX_VALUES_READ)
     print(format_surjections(surj_compose(s2, args.p, s1), args.json))
     return OK
 
@@ -178,15 +194,15 @@ def cmd_verify(args) -> int:
         cap = max_ambient()
         if args.n > cap:
             raise CliError(SHAPE, f"ambient {args.n} exceeds the cap {cap} (CARTAN_MAX_N)")
-        require_at_most("verify cartan", "i", args.i, MAX_WITNESS_INDEX)
-        require_at_most("verify cartan", "trials", args.trials, MAX_TRIALS)
+        require_at_most("verify cartan", "--i", args.i, MAX_WITNESS_INDEX)
+        require_at_most("verify cartan", "--trials", args.trials, MAX_TRIALS)
         report = run_cartan(args.i, args.n,
                             trials=100 if args.trials is None else args.trials,
                             seed=0 if args.seed is None else args.seed,
                             dims=None if args.dim is None else tuple(args.dim))
     else:
         _, cap, _, _ = IDENTITIES[args.suite]
-        require_at_most(f"verify {args.suite}", "max-degree", args.max_degree, cap)
+        require_at_most(f"verify {args.suite}", "--max-degree", args.max_degree, cap)
         suites = {**LEMMA_SUITES, **STRUCTURAL_SUITES}
         report = suites[args.suite](max_degree=args.max_degree)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))

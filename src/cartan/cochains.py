@@ -7,7 +7,8 @@ target face into len(s) consecutive blocks that overlap in one vertex,
 joining the blocks under each value, and evaluating; overlapping joins
 and dimension mismatches contribute zero.  On top of the action sit the
 cup-i products, the chain-level Steenrod squares, and the Cartan
-coboundary witness together with its defect.
+coboundary witness together with its defect, all acting through
+closed-form surjections (see `witness_surjections`).
 
 Evaluation compiles the cut plans once per call: every plan of every
 surjection becomes a tuple of (getter, support) pairs, one per cochain,
@@ -33,10 +34,7 @@ from functools import lru_cache, partial, reduce
 from math import comb
 from operator import itemgetter, xor
 
-from .barratt_eccles import cartan_homotopy, cup_generator
-from .f2 import singleton
 from .simplicial import faces_of_dim
-from .surjection import table_reduction
 
 
 class Cochain:
@@ -303,14 +301,26 @@ def apply_surjection(seq: tuple[int, ...], cochains, target: tuple[int, ...]) ->
 
 @lru_cache(maxsize=None)
 def cup_surjections(i: int) -> tuple:
-    """Surjections acting as the cup-i product, reduced from the cup generator."""
-    return tuple(sorted(table_reduction(singleton(cup_generator(i)))))
+    """Surjections acting as the cup-i product: the one word 1 2 1 2 ... of length i + 2."""
+    return (((1, 2) * (i + 2))[:i + 2],) if i >= 0 else ()
 
 
 @lru_cache(maxsize=None)
 def witness_surjections(i: int) -> tuple:
-    """Arity-4 surjections acting as the degree-i Cartan coboundary witness."""
-    return tuple(sorted(table_reduction(cartan_homotopy(singleton(cup_generator(i))))))
+    """Arity-4 surjections acting as the degree-i Cartan witness: floor((i+2)^2/4) words, sorted.
+
+    With alt(x, y, L) = x y x y ... (L letters), p >= 0, q >= 1 and L >= 1, they are
+    (1 2)^p 1 3 (2 3)^q alt(4, 3, L) with 2p + 2q + L = i + 3, and
+    (1 2)^p 1 2 4 (1 4)^q alt(3, 4, L) with 2p + 2q + L = i + 2: the table reduction
+    of the Barratt-Eccles Cartan homotopy of the cup-i generator, as the tests check
+    for i <= 8 (a one-off run: i <= 12).  Checked, not derived here from the paper.
+    """
+    return tuple(sorted(
+        (1, 2) * p + head + tail * q + ((x, y) * rest)[:rest]
+        for head, tail, x, y, total in (((1, 3), (2, 3), 4, 3, i + 3),
+                                        ((1, 2, 4), (1, 4), 3, 4, i + 2))
+        for p in range(total // 2) for q in range(1, total // 2 + 1)
+        if (rest := total - 2 * p - 2 * q) >= 1))
 
 
 def _act_cochain(surjs, cochains, n: int, dim: int) -> Cochain:
@@ -340,8 +350,8 @@ def steenrod_square(k: int, a: Cochain) -> Cochain:
 def cartan_coboundary(i: int, a: Cochain, b: Cochain) -> Cochain:
     """Cochain whose coboundary realizes the degree-i Cartan relation for cocycles.
 
-    The inputs are fed in doubled order (a, a, b, b) to the reduced
-    witness surjections; the result has dimension 2 dim a + 2 dim b - i - 1.
+    The inputs are fed in doubled order (a, a, b, b) to the witness
+    surjections; the result has dimension 2 dim a + 2 dim b - i - 1.
     """
     if i < 0:
         raise ValueError("witness index must be nonnegative")
@@ -349,7 +359,7 @@ def cartan_coboundary(i: int, a: Cochain, b: Cochain) -> Cochain:
         raise ValueError("cochains live on different simplices")
     dim = 2 * a.dim + 2 * b.dim - i - 1
     if not 0 <= dim <= a.ambient:
-        # no face to evaluate on: skip building the witness surjections
+        # no face to evaluate on: return before listing ~i^2/4 witness words for a huge i
         return Cochain._built(a.ambient, dim, frozenset())
     return _act_cochain(witness_surjections(i), (a, a, b, b), a.ambient, dim)
 

@@ -34,10 +34,6 @@ class F2Sum:
                 acc.add(t)
         self._terms = frozenset(acc)
 
-    @property
-    def terms(self) -> frozenset:
-        return self._terms
-
     def sorted_terms(self) -> list:
         return sorted(self._terms)
 

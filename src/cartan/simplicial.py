@@ -23,7 +23,7 @@ rightmost operator first; an empty operator range is the identity.
 
 from __future__ import annotations
 
-from itertools import chain, combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 from .f2 import F2Sum
 
@@ -158,11 +158,6 @@ def faces_of_dim(n: int, m: int) -> list[tuple[int, ...]]:
     if m < 0 or m > n:
         return []
     return list(combinations(range(n + 1), m + 1))
-
-
-def all_faces(n: int) -> list[tuple[int, ...]]:
-    """Every nondegenerate face of the standard n-simplex."""
-    return list(chain.from_iterable(faces_of_dim(n, m) for m in range(n + 1)))
 
 
 def degree_simplices(n: int, d: int) -> list[tuple[int, ...]]:

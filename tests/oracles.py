@@ -10,7 +10,7 @@ shares `_cut_plans`, which the tests check against
 """
 
 from collections import Counter
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 
 from cartan.cochains import Cochain, _cut_plans, witness_surjections
 from cartan.f2 import F2Sum
@@ -24,6 +24,11 @@ def odd_terms(terms) -> frozenset:
     keeps it as it is, so no oracle goes through the constructor's loop.
     """
     return frozenset(t for t, k in Counter(terms).items() if k % 2)
+
+
+def all_faces(n: int) -> list[tuple[int, ...]]:
+    """Every nondegenerate face of the standard n-simplex."""
+    return list(chain.from_iterable(faces_of_dim(n, m) for m in range(n + 1)))
 
 
 def tensor_boundary(t: F2Sum) -> F2Sum:

@@ -9,13 +9,13 @@ from cartan.barratt_eccles import (cartan_homotopy, cup_generator,
                                    diagonal_homotopy, embedding_homotopy)
 from cartan.cochains import Cochain, cup, delta
 from cartan.f2 import ZERO, F2Sum, singleton
-from cartan.simplicial import all_faces, faces_of_dim, is_degenerate
+from cartan.simplicial import faces_of_dim, is_degenerate
 from cartan.surjection import (compositions, reduce_table, surj_compose,
                                table_reduction)
 from cartan.verify import (LEMMA_SUITES, STRUCTURAL_SUITES, random_cochain,
                            run_cartan)
 
-from oracles import cup0_value, zeta_monomials
+from oracles import all_faces, cup0_value, zeta_monomials
 
 E4 = (1, 2, 3, 4)
 P12 = (2, 1, 3, 4)

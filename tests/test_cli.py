@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -185,6 +186,42 @@ def test_surj_compose_errors(capsys):
     assert rc == 3
     rc, _ = run(capsys, "surj-compose", "[1,1]", "1", "[1,2]")
     assert rc == 2
+
+
+def test_tr_and_surj_compose_cap_the_values_they_read(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "e.json"
+    path.write_text("[[1,3,2,4],[1,2,3,4],[2,1,4,3]]")
+    cases = [
+        # degree 2, arity 4: one row of 6 values per composition of 6 into 3 parts
+        (["tr", str(path)], comb(5, 2) * 6, "(1,3,2,3,4,3)"),
+        # slot 2 occurs twice: one word of 5 + 3 - 1 values per index tuple 1 <= j <= 3
+        (["surj-compose", "[1,2,3,2,1]", "2", "[1,2,1]"], comb(3, 1) * 7,
+         "(1,2,3,2,4,2,1) + (1,2,3,4,3,2,1) + (1,2,4,2,3,2,1)"),
+    ]
+    for argv, values, want in cases:
+        monkeypatch.setattr(cli, "MAX_VALUES_READ", values)
+        rc, out = run(capsys, *argv)
+        assert rc == 0 and out.strip() == want
+        monkeypatch.setattr(cli, "MAX_VALUES_READ", values - 1)
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {argv[0]} caps values read at {values - 1}\n"
+
+
+def test_tr_and_surj_compose_refuse_before_the_work(capsys, tmp_path):
+    # 27 rows of 12 permutations, and two 21-value words: far above the cap,
+    # and refused before any table row or index tuple is read
+    a = list(range(1, 13))
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps([a if j % 2 == 0 else a[::-1] for j in range(27)]))
+    word = json.dumps([1 + j % 2 for j in range(21)])
+    for argv in (["tr", str(path)], ["surj-compose", word, "1", word]):
+        t0 = time.perf_counter()
+        assert cli.main(argv) == 3
+        assert time.perf_counter() - t0 < 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {argv[0]} caps values read at {cli.MAX_VALUES_READ}\n"
 
 
 def test_verify_cartan_needs_indices(capsys):

@@ -4,15 +4,20 @@ import random
 
 import pytest
 
+from cartan.barratt_eccles import (MID_SWAP4, SWAP2, cup_generator, diag_embed,
+                                   diagonal_homotopy, embedding_homotopy,
+                                   product_of_squares, sigma_act, squared_product)
 from cartan.cochains import (Cochain, apply_surjection, cartan_coboundary,
                              cartan_defect, cup, cup_surjections, delta, ones,
                              steenrod_square, witness_surjections)
-from cartan.f2 import F2Sum
-from cartan.simplicial import all_faces, faces_of_dim
+from cartan.f2 import ZERO, F2Sum, singleton
+from cartan.simplicial import faces_of_dim
+from cartan.surjection import (is_basis_surjection, surj_act, surj_boundary,
+                               table_reduction)
 from cartan.verify import random_cochain
 
-from oracles import (brute_surjection_value, cup0_value, diagonal_iter, join,
-                     restrict, surjection_monomials)
+from oracles import (all_faces, brute_surjection_value, cup0_value, diagonal_iter,
+                     join, restrict, surjection_monomials)
 
 
 def test_cochain_validation():
@@ -166,6 +171,8 @@ def test_cup_surjection_cache():
     assert cup_surjections(0) == ((1, 2),)
     assert cup_surjections(1) == ((1, 2, 1),)
     assert cup_surjections(2) == ((1, 2, 1, 2),)
+    for i in range(13):
+        assert cup_surjections(i) == (tuple(1 + j % 2 for j in range(i + 2)),)
 
 
 def test_cup_shape_handling():
@@ -203,6 +210,35 @@ def test_steenrod_square_conventions():
 def test_witness_surjection_cache():
     assert witness_surjections(0) == ((1, 3, 2, 3, 4),)
     assert set(witness_surjections(1)) == {(1, 3, 2, 3, 4, 3), (1, 2, 4, 1, 4, 3)}
+
+
+def test_witness_words_have_the_closed_form_shape():
+    for i in range(13):
+        words = witness_surjections(i)
+        assert len(set(words)) == len(words) == (i + 2) ** 2 // 4
+        for s in words:
+            assert len(s) == i + 5 and is_basis_surjection(s, 4)
+
+
+def test_closed_forms_equal_the_table_reduced_homotopies():
+    # the paper's construction as the oracle: TR(cartan_homotopy) is the sum of these two
+    for i in range(9):
+        x = singleton(cup_generator(i))
+        assert cup_surjections(i) == tuple(sorted(table_reduction(x)))
+        assert witness_surjections(i) == tuple(sorted(table_reduction(embedding_homotopy(x))))
+        assert table_reduction(diagonal_homotopy(x)) == ZERO
+
+
+def test_witness_words_satisfy_the_cartan_relation():
+    # d W_i + W_{i-1} + (2 1 4 3) W_{i-1} = TR((2 3) squared product) + TR(product of squares)
+    for i in range(9):
+        x = singleton(cup_generator(i))
+        lhs = surj_boundary(F2Sum(witness_surjections(i)))
+        if i:
+            prev = witness_surjections(i - 1)
+            lhs = lhs + F2Sum(prev) + F2Sum(surj_act(diag_embed(SWAP2), s) for s in prev)
+        assert lhs == (table_reduction(sigma_act(MID_SWAP4, squared_product(x)))
+                       + table_reduction(product_of_squares(x)))
 
 
 def test_witness_value_matches_the_printed_monomial():

@@ -3,11 +3,10 @@
 import pytest
 
 from cartan.f2 import F2Sum, ZERO, hom_boundary, singleton
-from cartan.simplicial import (all_faces, aw, boundary, degeneracy,
-                               degree_simplices, ez, face, faces_of_dim,
-                               is_degenerate, product, shih)
+from cartan.simplicial import (aw, boundary, degeneracy, degree_simplices, ez,
+                               face, faces_of_dim, is_degenerate, product, shih)
 
-from oracles import tensor_boundary
+from oracles import all_faces, tensor_boundary
 
 
 def product_cells(na, nb, d):
