@@ -34,8 +34,9 @@ SHAPE = 3
 COCYCLE = 4
 
 DEFAULT_MAX_N = 6
-# largest --i of zeta, defect and verify cartan: defect runs i + 1 cup products,
-# and the witness has floor((i+2)^2 / 4) words of length i + 5 to evaluate
+# largest --i of zeta, defect and verify cartan: the witness has floor((i+2)^2 / 4)
+# words of length i + 5 to evaluate, and defect adds cup_i and, per j <= i, one
+# front pass of the cup-j plans and one back pass of the cup-(i-j) plans
 MAX_WITNESS_INDEX = 12
 # largest --trials of verify cartan
 MAX_TRIALS = 10_000

@@ -13,6 +13,9 @@ closed-form surjections (see `witness_surjections`).
 Evaluation compiles the cut plans once per call: every plan of every
 surjection becomes a tuple of (getter, support) pairs, one per cochain,
 and each target face is checked against those pairs in one tight loop.
+The defect's product of squares runs the cup plans of its two factors
+on the front and the back face of each target face, one after the other
+(see `_product_of_squares`), so no factor is built as a whole cochain.
 
 The coboundary is bit-parallel.  Number the (d+1)-faces of the
 n-simplex by their colex rank; the coface mask of a d-face f is the
@@ -256,20 +259,25 @@ def _cut_plans(seq: tuple[int, ...], dims: tuple[int, ...], m: int):
     return tuple(plans)
 
 
-def _compile(surjs, cochains, m: int) -> list:
+def _compile(surjs, cochains, m: int, offset: int = 0) -> list:
     """The cut plans of every surjection on m-faces, as (getter, support) pairs.
 
     A target face passes a plan when each getter picks out a face that
     lies in its support; the action is the parity of passed plans.  A
     getter of one position returns a bare vertex rather than a 1-tuple,
     which happens exactly for dimension-0 cochains, so their support is
-    keyed by vertex.
+    keyed by vertex.  A nonzero `offset` shifts every position, so the
+    plans read the m-face that starts at that position of a longer face.
     """
     dims = tuple(c.dim for c in cochains)
     supports = [frozenset(f[0] for f in c.support) if c.dim == 0 else c.support
                 for c in cochains]
+    groups = (_cut_plans(s, dims, m) for s in surjs)
+    if offset:
+        groups = ([[[p + offset for p in positions] for positions in plan] for plan in group]
+                  for group in groups)
     return [tuple((itemgetter(*positions), supp) for positions, supp in zip(plan, supports))
-            for s in surjs for plan in _cut_plans(s, dims, m)]
+            for group in groups for plan in group]
 
 
 def _evaluate(plans, faces) -> list:
@@ -324,8 +332,11 @@ def witness_surjections(i: int) -> tuple:
 
 
 def _act_cochain(surjs, cochains, n: int, dim: int) -> Cochain:
-    """Sum of the surjections acting on cochains of the n-simplex, as a dim-cochain."""
-    faces = faces_of_dim(n, dim)
+    """Sum of the surjections acting on cochains of the n-simplex, as a dim-cochain.
+
+    The action is multilinear, so a zero input gives zero without a face scanned.
+    """
+    faces = faces_of_dim(n, dim) if all(c.support for c in cochains) else ()
     plans = _compile(surjs, cochains, dim) if faces else []
     return Cochain._built(n, dim, frozenset(_evaluate(plans, faces) if plans else ()))
 
@@ -364,15 +375,39 @@ def cartan_coboundary(i: int, a: Cochain, b: Cochain) -> Cochain:
     return _act_cochain(witness_surjections(i), (a, a, b, b), a.ambient, dim)
 
 
+def _product_of_squares(i: int, a: Cochain, b: Cochain) -> Cochain:
+    """Sum over j of (a cup_j a) cup_0 (b cup_{i-j} b), read off front and back faces.
+
+    The j-th term holds on an m-face t exactly when the front face
+    t[:k+1] is in a cup_j a and the back face t[k:] is in b cup_{i-j} b,
+    with k = 2 dim a - j = dim(a cup_j a).  So each term is one pass of
+    the cup_j plans on (a, a) over the m-faces, then one pass of the
+    cup_{i-j} plans on (b, b), shifted by k, over the faces that passed;
+    no cup-j cochain is built.
+    """
+    n = a.ambient
+    m = 2 * a.dim + 2 * b.dim - i
+    faces = faces_of_dim(n, m) if a.support and b.support else ()
+    out = set()
+    if faces:
+        # the j with 0 <= k <= m; for the others a front or back face does not exist
+        for j in range(max(0, 2 * a.dim - m), min(i, 2 * a.dim) + 1):
+            k = 2 * a.dim - j
+            front = _compile(cup_surjections(j), (a, a), k)
+            back = _compile(cup_surjections(i - j), (b, b), m - k, k)
+            if front and back:
+                out.symmetric_difference_update(_evaluate(back, _evaluate(front, faces)))
+    return Cochain._built(n, m, frozenset(out))
+
+
 def cartan_defect(i: int, a: Cochain, b: Cochain) -> Cochain:
     """delta(witness) + (a cup_0 b) cup_i (a cup_0 b) + sum of (a cup_j a) cup_0 (b cup_k b).
 
-    Zero for cocycle inputs; non-cocycles are rejected.
+    Zero for cocycle inputs; non-cocycles are rejected.  The last sum is
+    evaluated directly on the defect's faces (see `_product_of_squares`).
     """
     if not delta(a).is_zero or not delta(b).is_zero:
         raise ValueError("inputs must be cocycles")
     ab = cup(0, a, b)
-    out = delta(cartan_coboundary(i, a, b)) + cup(i, ab, ab)
-    for j in range(i + 1):
-        out = out + cup(0, cup(j, a, a), cup(i - j, b, b))
-    return out
+    return (delta(cartan_coboundary(i, a, b)) + cup(i, ab, ab)
+            + _product_of_squares(i, a, b))

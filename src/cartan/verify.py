@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import permutations
 
@@ -39,16 +38,22 @@ MAX_AMBIENT = 4
 TR_ARITIES = (2, 3)
 
 
-@dataclass
 class VerifyReport:
-    suite: str
-    failures: list
-    elapsed: float
-    i: int | None = None
-    n: int | None = None
-    trials: int = 0
-    seed: int | None = None
-    params: dict = field(default_factory=dict)
+    """What one suite checked, and every check that failed."""
+
+    __slots__ = ("suite", "failures", "elapsed", "i", "n", "trials", "seed", "params")
+
+    def __init__(self, suite: str, failures: list, elapsed: float, i: int | None = None,
+                 n: int | None = None, trials: int = 0, seed: int | None = None,
+                 params: dict | None = None):
+        self.suite = suite
+        self.failures = failures
+        self.elapsed = elapsed
+        self.i = i
+        self.n = n
+        self.trials = trials
+        self.seed = seed
+        self.params = {} if params is None else params
 
     @property
     def ok(self) -> bool:
@@ -213,21 +218,26 @@ def cocycle_dim_pool(n: int, i: int) -> list[tuple[int, int]]:
     return feasible or every
 
 
+def sweep_inputs(i: int, n: int, trials: int, seed: int,
+                 dims: tuple[int, int] | None = None):
+    """The seeded cochains (gamma1, gamma2) of each `run_cartan` trial, in order."""
+    rng = random.Random(seed)
+    pool = cocycle_dim_pool(n, i)
+    for _ in range(trials):
+        d1, d2 = dims if dims is not None else rng.choice(pool)
+        yield random_cochain(rng, n, d1), random_cochain(rng, n, d2)
+
+
 def run_cartan(i: int, n: int, trials: int = 100, seed: int = 0,
                dims: tuple[int, int] | None = None) -> VerifyReport:
     """Defect of the witness on seeded random coboundary pairs plus constant cocycles."""
     t0 = time.perf_counter()
-    rng = random.Random(seed)
     failures = []
     const = ones(n)
     defect = cartan_defect(i, const, const)
     if not defect.is_zero:
         failures.append({"trial": "constant", "defect": defect.to_dict()})
-    pool = cocycle_dim_pool(n, i)
-    for t in range(trials):
-        d1, d2 = dims if dims is not None else rng.choice(pool)
-        g1 = random_cochain(rng, n, d1)
-        g2 = random_cochain(rng, n, d2)
+    for t, (g1, g2) in enumerate(sweep_inputs(i, n, trials, seed, dims)):
         a, b = delta(g1), delta(g2)
         defect = cartan_defect(i, a, b)
         if not defect.is_zero:

@@ -6,13 +6,17 @@ one, joins recomputed, values multiplied out.  The one exception is the
 reference evaluator `act_reference`: it walks the cached cut plans face
 by face and surjection by surjection, without compiling them, so it
 shares `_cut_plans`, which the tests check against
-`brute_surjection_value` on their own.
+`brute_surjection_value` on their own.  The defect references
+`squares_reference` and `defect_reference` are the literal sums of
+whole cup products: they share `cup`, which the tests check against
+`act_reference`, and check how `cartan_defect` splits its faces.
 """
 
 from collections import Counter
 from itertools import chain, combinations_with_replacement
 
-from cartan.cochains import Cochain, _cut_plans, witness_surjections
+from cartan.cochains import (Cochain, _cut_plans, cartan_coboundary, cup, delta,
+                             witness_surjections)
 from cartan.f2 import F2Sum
 from cartan.simplicial import faces_of_dim, is_degenerate
 
@@ -186,3 +190,17 @@ def zeta_monomials(i: int, n: int) -> frozenset:
                 yield tuple(sorted(mono[:2])), tuple(sorted(mono[2:]))
 
     return odd_terms(monomials())
+
+
+def squares_reference(i: int, a: Cochain, b: Cochain) -> Cochain:
+    """Sum over j of (a cup_j a) cup_0 (b cup_{i-j} b), each cup built whole."""
+    out = Cochain(a.ambient, 2 * a.dim + 2 * b.dim - i)
+    for j in range(i + 1):
+        out = out + cup(0, cup(j, a, a), cup(i - j, b, b))
+    return out
+
+
+def defect_reference(i: int, a: Cochain, b: Cochain) -> Cochain:
+    """delta(witness) + (a cup_0 b) cup_i (a cup_0 b) + the literal product of squares."""
+    ab = cup(0, a, b)
+    return delta(cartan_coboundary(i, a, b)) + cup(i, ab, ab) + squares_reference(i, a, b)

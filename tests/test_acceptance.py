@@ -7,15 +7,15 @@ import random
 
 from cartan.barratt_eccles import (cartan_homotopy, cup_generator,
                                    diagonal_homotopy, embedding_homotopy)
-from cartan.cochains import Cochain, cup, delta
+from cartan.cochains import Cochain, cartan_coboundary, cartan_defect, cup, delta
 from cartan.f2 import ZERO, F2Sum, singleton
 from cartan.simplicial import faces_of_dim, is_degenerate
 from cartan.surjection import (compositions, reduce_table, surj_compose,
                                table_reduction)
 from cartan.verify import (LEMMA_SUITES, STRUCTURAL_SUITES, random_cochain,
-                           run_cartan)
+                           run_cartan, sweep_inputs)
 
-from oracles import all_faces, cup0_value, zeta_monomials
+from oracles import all_faces, cup0_value, defect_reference, zeta_monomials
 
 E4 = (1, 2, 3, 4)
 P12 = (2, 1, 3, 4)
@@ -122,6 +122,21 @@ def test_cartan_identity_sweep(criterion):
             for i in range(4):
                 report = run_cartan(i, n, trials=100, seed=0)
                 assert report.ok, (i, n, report.failures[:1])
+
+
+def test_cartan_identity_sweep_past_the_goldens(criterion):
+    # at n <= 6 the i=3 witness is never nonzero; here every (i, n) cell must meet one
+    with criterion("cartan identity sweep at n = 7..9", 60.0):
+        for n in range(7, 10):
+            for i in range(4):
+                report = run_cartan(i, n, trials=15, seed=0)
+                assert report.ok, (i, n, report.failures[:1])
+                nonzero = 0
+                for g1, g2 in sweep_inputs(i, n, 15, 0):
+                    a, b = delta(g1), delta(g2)
+                    nonzero += not cartan_coboundary(i, a, b).is_zero
+                    assert cartan_defect(i, a, b) == defect_reference(i, a, b), (i, n)
+                assert nonzero, (i, n)
 
 
 STRUCTURAL_TRIALS = {"shih-homotopy": 447, "aw-ez-identity": 2950, "tr-chain-map": 4696}

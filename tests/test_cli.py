@@ -140,6 +140,15 @@ def test_python_dash_m_runs_the_cli(capsys):
         assert (proc.returncode, proc.stdout, proc.stderr) == (rc, out, "")
 
 
+def test_importing_the_cli_loads_no_dataclasses():
+    # dataclasses pulls in inspect, which every cartan call would pay for in memory and start-up
+    env = dict(os.environ, PYTHONPATH=str(Path(cartan.__file__).resolve().parent.parent))
+    code = "import sys, cartan.cli; print('dataclasses' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout == "False\n"
+
+
 def test_argparse_errors_exit_two(capsys, cochain_file):
     alpha = cochain_file("a.json", 2, 1, [(0, 1)])
     assert cli.main(["cup", alpha, alpha]) == 2        # missing --i

@@ -7,17 +7,17 @@ import pytest
 from cartan.barratt_eccles import (MID_SWAP4, SWAP2, cup_generator, diag_embed,
                                    diagonal_homotopy, embedding_homotopy,
                                    product_of_squares, sigma_act, squared_product)
-from cartan.cochains import (Cochain, apply_surjection, cartan_coboundary,
-                             cartan_defect, cup, cup_surjections, delta, ones,
-                             steenrod_square, witness_surjections)
+from cartan.cochains import (Cochain, _product_of_squares, apply_surjection,
+                             cartan_coboundary, cartan_defect, cup, cup_surjections,
+                             delta, ones, steenrod_square, witness_surjections)
 from cartan.f2 import ZERO, F2Sum, singleton
 from cartan.simplicial import faces_of_dim
 from cartan.surjection import (is_basis_surjection, surj_act, surj_boundary,
                                table_reduction)
 from cartan.verify import random_cochain
 
-from oracles import (all_faces, brute_surjection_value, cup0_value, diagonal_iter,
-                     join, restrict, surjection_monomials)
+from oracles import (act_reference, all_faces, brute_surjection_value, cup0_value,
+                     diagonal_iter, join, restrict, surjection_monomials)
 
 
 def test_cochain_validation():
@@ -239,6 +239,34 @@ def test_witness_words_satisfy_the_cartan_relation():
             lhs = lhs + F2Sum(prev) + F2Sum(surj_act(diag_embed(SWAP2), s) for s in prev)
         assert lhs == (table_reduction(sigma_act(MID_SWAP4, squared_product(x)))
                        + table_reduction(product_of_squares(x)))
+
+
+def squares_words(i: int) -> list[tuple[int, ...]]:
+    """The words s_j . tau_j(s_{i-j}) for j <= i, with s_j the cup-j word 1 2 1 2 ...
+
+    tau_j sends 1 2 to 3 4 for even j and to 4 3 for odd j.
+    """
+    def tau(j, w):
+        return tuple(v + 2 if j % 2 == 0 else 5 - v for v in w)
+
+    return [cup_surjections(j)[0] + tau(j, cup_surjections(i - j)[0]) for j in range(i + 1)]
+
+
+def test_product_of_squares_is_the_reduced_paper_term():
+    # the paper's product of squares, table-reduced, is one word per j ...
+    for i in range(9):
+        x = singleton(cup_generator(i))
+        assert table_reduction(product_of_squares(x)) == F2Sum(squares_words(i))
+    # ... and those words act on (a, a, b, b) as the front/back evaluation
+    rng = random.Random(5)
+    for n in range(2, 7):
+        for i in range(5):
+            for _ in range(3):
+                a = random_cochain(rng, n, rng.randrange(3))
+                b = random_cochain(rng, n, rng.randrange(3))
+                m = 2 * a.dim + 2 * b.dim - i
+                assert _product_of_squares(i, a, b) == act_reference(
+                    squares_words(i), (a, a, b, b), n, m)
 
 
 def test_witness_value_matches_the_printed_monomial():

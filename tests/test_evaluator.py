@@ -5,11 +5,13 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cartan.cochains import (Cochain, cartan_coboundary, cup, cup_surjections,
-                             delta, steenrod_square, witness_surjections)
+import cartan.cochains
+from cartan.cochains import (Cochain, _product_of_squares, cartan_coboundary, cup,
+                             cup_surjections, delta, ones, steenrod_square,
+                             witness_surjections)
 from cartan.simplicial import faces_of_dim
 
-from oracles import act_reference, delta_reference
+from oracles import act_reference, delta_reference, squares_reference
 
 KINDS = ("zero", "sparse", "dense")
 
@@ -136,3 +138,56 @@ def test_witness_comparison_is_not_vacuous():
                     b = make_cochain(rng, 8, db, "dense")
                     nonzero[i] += not check_witness(i, a, b).is_zero
     assert all(nonzero.values()), str(nonzero)
+
+
+@st.composite
+def square_inputs(draw):
+    """(i, a, b) with n <= 8 and i <= 5, mostly with a defect that can be nonzero.
+
+    The j-th term needs j <= dim a and i - j <= dim b, and the defect
+    dimension 2 dim a + 2 dim b - i must lie in [0, n], so i is drawn
+    from that window, or one past its top.  The cochains are zero,
+    sparse or dense, dense twice as often, each either drawn as it
+    comes or made a cocycle: the coboundary of such a cochain, or
+    `ones` in dimension 0.
+    """
+    n = draw(st.integers(0, 8))
+    da = draw(st.integers(0, (n + 1) // 2))
+    db = draw(st.integers(0, min(n - da, (n + 1) // 2)))
+    s = da + db
+    i = draw(st.integers(min(5, max(0, 2 * s - n)), min(5, s + 1)))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def operand(dim):
+        kind = draw(st.sampled_from(KINDS + ("dense",)))
+        if not draw(st.booleans()):
+            return make_cochain(rng, n, dim, kind)
+        if dim == 0:
+            return Cochain(n, 0) if kind == "zero" else ones(n)
+        return delta(make_cochain(rng, n, dim - 1, kind))
+
+    return i, operand(da), operand(db)
+
+
+@settings(deadline=None, max_examples=200)
+@given(square_inputs())
+def test_product_of_squares_matches_the_literal_sum(iab):
+    i, a, b = iab
+    got = _product_of_squares(i, a, b)
+    assert (got.ambient, got.dim) == (a.ambient, 2 * a.dim + 2 * b.dim - i)
+    assert got == squares_reference(i, a, b)
+
+
+def test_zero_input_scans_no_face(monkeypatch):
+    # the action is multilinear: a zero operand returns before any face is listed
+    def no_faces(n, m):
+        raise AssertionError("faces listed for a zero operand")
+
+    monkeypatch.setattr(cartan.cochains, "faces_of_dim", no_faces)
+    a = Cochain(6, 1, [(0, 1), (1, 2), (2, 5)])
+    zero = Cochain(6, 1)
+    for i in range(3):
+        for x, y in ((a, zero), (zero, a), (zero, zero)):
+            assert cup(i, x, y) == Cochain(6, 2 - i)
+            assert cartan_coboundary(i, x, y) == Cochain(6, 3 - i)
+            assert _product_of_squares(i, x, y) == Cochain(6, 4 - i)
