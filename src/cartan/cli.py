@@ -35,8 +35,8 @@ COCYCLE = 4
 
 DEFAULT_MAX_N = 6
 # largest --i of zeta, defect and verify cartan: the witness has floor((i+2)^2 / 4)
-# words of length i + 5 to evaluate, and defect adds cup_i and, per j <= i, one
-# front pass of the cup-j plans and one back pass of the cup-(i-j) plans
+# words of length i + 5 to evaluate, and defect adds cup_i and the product of
+# squares, i + 1 words of length i + 4
 MAX_WITNESS_INDEX = 12
 # largest --trials of verify cartan
 MAX_TRIALS = 10_000

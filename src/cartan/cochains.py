@@ -8,14 +8,14 @@ joining the blocks under each value, and evaluating; overlapping joins
 and dimension mismatches contribute zero.  On top of the action sit the
 cup-i products, the chain-level Steenrod squares, and the Cartan
 coboundary witness together with its defect, all acting through
-closed-form surjections (see `witness_surjections`).
+closed-form surjections (see `witness_surjections`).  The defect's
+product of squares is i + 1 arity-4 words too (`square_surjections`),
+so no cup-j factor is built as a whole cochain.
 
-Evaluation compiles the cut plans once per call: every plan of every
-surjection becomes a tuple of (getter, support) pairs, one per cochain,
-and each target face is checked against those pairs in one tight loop.
-The defect's product of squares runs the cup plans of its two factors
-on the front and the back face of each target face, one after the other
-(see `_product_of_squares`), so no factor is built as a whole cochain.
+Every action runs through one evaluator, `_evaluate`: it compiles the
+cut plans once per call, every plan of every surjection becoming a tuple
+of (getter, support) pairs, one per cochain, and checks each target
+face against those pairs in one tight loop.
 
 The coboundary is bit-parallel.  Number the (d+1)-faces of the
 n-simplex by their colex rank; the coface mask of a d-face f is the
@@ -259,29 +259,26 @@ def _cut_plans(seq: tuple[int, ...], dims: tuple[int, ...], m: int):
     return tuple(plans)
 
 
-def _compile(surjs, cochains, m: int, offset: int = 0) -> list:
-    """The cut plans of every surjection on m-faces, as (getter, support) pairs.
+def _evaluate(surjs, cochains, faces) -> list:
+    """The faces on which an odd number of the surjections' cut plans pass.
 
-    A target face passes a plan when each getter picks out a face that
-    lies in its support; the action is the parity of passed plans.  A
-    getter of one position returns a bare vertex rather than a 1-tuple,
-    which happens exactly for dimension-0 cochains, so their support is
-    keyed by vertex.  A nonzero `offset` shifts every position, so the
-    plans read the m-face that starts at that position of a longer face.
+    The faces share one dimension m.  Every cut plan on m-faces is
+    compiled into (getter, support) pairs, one per cochain, and a face
+    passes a plan when each getter picks out a face that lies in its
+    support.  A getter of one position returns a bare vertex rather
+    than a 1-tuple, which happens exactly for dimension-0 cochains, so
+    their support is keyed by vertex.  Nothing is compiled when there
+    is no face.
     """
+    if not faces:
+        return []
     dims = tuple(c.dim for c in cochains)
     supports = [frozenset(f[0] for f in c.support) if c.dim == 0 else c.support
                 for c in cochains]
-    groups = (_cut_plans(s, dims, m) for s in surjs)
-    if offset:
-        groups = ([[[p + offset for p in positions] for positions in plan] for plan in group]
-                  for group in groups)
-    return [tuple((itemgetter(*positions), supp) for positions, supp in zip(plan, supports))
-            for group in groups for plan in group]
-
-
-def _evaluate(plans, faces) -> list:
-    """The faces on which an odd number of the compiled plans pass."""
+    plans = [tuple((itemgetter(*positions), supp) for positions, supp in zip(plan, supports))
+             for s in surjs for plan in _cut_plans(s, dims, len(faces[0]) - 1)]
+    if not plans:
+        return []
     out = []
     for f in faces:
         val = 0
@@ -304,13 +301,18 @@ def apply_surjection(seq: tuple[int, ...], cochains, target: tuple[int, ...]) ->
     ambient = cochains[0].ambient
     if any(c.ambient != ambient for c in cochains):
         raise ValueError("cochains live on different simplices")
-    return len(_evaluate(_compile((seq,), cochains, len(target) - 1), (target,)))
+    return len(_evaluate((seq,), cochains, (target,)))
+
+
+def _alt(x: int, y: int, length: int) -> tuple[int, ...]:
+    """The word x y x y ... of the given length."""
+    return ((x, y) * length)[:length]
 
 
 @lru_cache(maxsize=None)
 def cup_surjections(i: int) -> tuple:
     """Surjections acting as the cup-i product: the one word 1 2 1 2 ... of length i + 2."""
-    return (((1, 2) * (i + 2))[:i + 2],) if i >= 0 else ()
+    return (_alt(1, 2, i + 2),) if i >= 0 else ()
 
 
 @lru_cache(maxsize=None)
@@ -324,11 +326,24 @@ def witness_surjections(i: int) -> tuple:
     for i <= 8 (a one-off run: i <= 12).  Checked, not derived here from the paper.
     """
     return tuple(sorted(
-        (1, 2) * p + head + tail * q + ((x, y) * rest)[:rest]
+        (1, 2) * p + head + tail * q + _alt(x, y, rest)
         for head, tail, x, y, total in (((1, 3), (2, 3), 4, 3, i + 3),
                                         ((1, 2, 4), (1, 4), 3, 4, i + 2))
         for p in range(total // 2) for q in range(1, total // 2 + 1)
         if (rest := total - 2 * p - 2 * q) >= 1))
+
+
+def square_surjections(i: int) -> tuple:
+    """Arity-4 surjections acting as the product of squares: i + 1 words of length i + 4, sorted.
+
+    The j-th word, for j = 0..i, is the cup-j word followed by the
+    cup-(i-j) word on the letters 3 4 (j even) or 4 3 (j odd); on
+    (a, a, b, b) it acts as (a cup_j a) cup_0 (b cup_{i-j} b).  These are
+    the table reduction of the Barratt-Eccles product of squares of the
+    cup-i generator, as the tests check for i <= 8.
+    """
+    return tuple(sorted(_alt(1, 2, j + 2) + _alt(3 + j % 2, 4 - j % 2, i - j + 2)
+                        for j in range(i + 1)))
 
 
 def _act_cochain(surjs, cochains, n: int, dim: int) -> Cochain:
@@ -337,8 +352,7 @@ def _act_cochain(surjs, cochains, n: int, dim: int) -> Cochain:
     The action is multilinear, so a zero input gives zero without a face scanned.
     """
     faces = faces_of_dim(n, dim) if all(c.support for c in cochains) else ()
-    plans = _compile(surjs, cochains, dim) if faces else []
-    return Cochain._built(n, dim, frozenset(_evaluate(plans, faces) if plans else ()))
+    return Cochain._built(n, dim, frozenset(_evaluate(surjs, cochains, faces)))
 
 
 def cup(i: int, a: Cochain, b: Cochain) -> Cochain:
@@ -375,39 +389,17 @@ def cartan_coboundary(i: int, a: Cochain, b: Cochain) -> Cochain:
     return _act_cochain(witness_surjections(i), (a, a, b, b), a.ambient, dim)
 
 
-def _product_of_squares(i: int, a: Cochain, b: Cochain) -> Cochain:
-    """Sum over j of (a cup_j a) cup_0 (b cup_{i-j} b), read off front and back faces.
-
-    The j-th term holds on an m-face t exactly when the front face
-    t[:k+1] is in a cup_j a and the back face t[k:] is in b cup_{i-j} b,
-    with k = 2 dim a - j = dim(a cup_j a).  So each term is one pass of
-    the cup_j plans on (a, a) over the m-faces, then one pass of the
-    cup_{i-j} plans on (b, b), shifted by k, over the faces that passed;
-    no cup-j cochain is built.
-    """
-    n = a.ambient
-    m = 2 * a.dim + 2 * b.dim - i
-    faces = faces_of_dim(n, m) if a.support and b.support else ()
-    out = set()
-    if faces:
-        # the j with 0 <= k <= m; for the others a front or back face does not exist
-        for j in range(max(0, 2 * a.dim - m), min(i, 2 * a.dim) + 1):
-            k = 2 * a.dim - j
-            front = _compile(cup_surjections(j), (a, a), k)
-            back = _compile(cup_surjections(i - j), (b, b), m - k, k)
-            if front and back:
-                out.symmetric_difference_update(_evaluate(back, _evaluate(front, faces)))
-    return Cochain._built(n, m, frozenset(out))
-
-
 def cartan_defect(i: int, a: Cochain, b: Cochain) -> Cochain:
     """delta(witness) + (a cup_0 b) cup_i (a cup_0 b) + sum of (a cup_j a) cup_0 (b cup_k b).
 
     Zero for cocycle inputs; non-cocycles are rejected.  The last sum is
-    evaluated directly on the defect's faces (see `_product_of_squares`).
+    the action of `square_surjections(i)` on (a, a, b, b).
     """
     if not delta(a).is_zero or not delta(b).is_zero:
         raise ValueError("inputs must be cocycles")
     ab = cup(0, a, b)
-    return (delta(cartan_coboundary(i, a, b)) + cup(i, ab, ab)
-            + _product_of_squares(i, a, b))
+    out = delta(cartan_coboundary(i, a, b)) + cup(i, ab, ab)
+    if not 0 <= out.dim <= a.ambient:
+        # no face to evaluate on: return before listing i + 1 words of length i + 4
+        return out
+    return out + _act_cochain(square_surjections(i), (a, a, b, b), a.ambient, out.dim)

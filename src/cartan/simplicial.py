@@ -28,13 +28,6 @@ from itertools import combinations, combinations_with_replacement
 from .f2 import F2Sum
 
 
-def face(x: tuple, i: int) -> tuple:
-    """Delete the i-th label."""
-    if not 0 <= i < len(x):
-        raise IndexError(f"face index {i} out of range for degree {len(x) - 1}")
-    return x[:i] + x[i + 1:]
-
-
 def degeneracy(x: tuple, i: int) -> tuple:
     """Repeat the i-th label."""
     if not 0 <= i < len(x):

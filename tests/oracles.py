@@ -9,7 +9,8 @@ shares `_cut_plans`, which the tests check against
 `brute_surjection_value` on their own.  The defect references
 `squares_reference` and `defect_reference` are the literal sums of
 whole cup products: they share `cup`, which the tests check against
-`act_reference`, and check how `cartan_defect` splits its faces.
+`act_reference`, and check the arity-4 words that `cartan_defect`
+evaluates in place of the product of squares.
 """
 
 from collections import Counter

@@ -2,17 +2,25 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import cartan
 from cartan import cli
-from cartan.cochains import Cochain, cup
+from cartan.cochains import Cochain, cup, delta, ones
+from cartan.f2 import singleton
+from cartan.simplicial import faces_of_dim
+from cartan.surjection import surj_compose, table_reduction
 from cartan.verify import VerifyReport
 
 
@@ -127,6 +135,34 @@ def test_witness_index_and_trials_caps(capsys, cochain_file):
     assert rc == 0 and json.loads(out)["trials"] == 3
     rc, out = run(capsys, "verify", "--i", "0", "--n", "0", "--trials", str(cli.MAX_TRIALS))
     assert rc == 0 and json.loads(out)["trials"] == cli.MAX_TRIALS
+
+
+def test_defect_at_the_index_cap_on_the_default_ambient(capsys, cochain_file):
+    # every shape whose defect has a face on the 6-simplex, on dense coboundary operands
+    top, n = cli.MAX_WITNESS_INDEX, cli.DEFAULT_MAX_N
+    rng = random.Random(4)
+
+    def operand(dim):
+        if dim == 0:
+            return ones(n)
+        while True:
+            c = delta(Cochain(n, dim - 1, [f for f in faces_of_dim(n, dim - 1)
+                                           if rng.getrandbits(1)]))
+            if c.support:
+                return c
+
+    shapes = [(da, db) for da in range(n + 1) for db in range(n + 1)
+              if 0 <= 2 * da + 2 * db - top <= n]
+    assert len(shapes) == 22
+    t0 = time.perf_counter()
+    for da, db in shapes:
+        a, b = operand(da), operand(db)
+        alpha = cochain_file("a.json", n, da, a.support)
+        beta = cochain_file("b.json", n, db, b.support)
+        rc, out = run(capsys, "defect", "--i", str(top), alpha, beta)
+        assert rc == 0
+        assert json.loads(out) == {"ambient": n, "dim": 2 * da + 2 * db - top, "support": []}
+    assert time.perf_counter() - t0 < 10
 
 
 def test_python_dash_m_runs_the_cli(capsys):
@@ -288,3 +324,62 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     rc, out = run(capsys, "verify", "boundary-h1")
     assert rc == 1
     assert json.loads(out)["failures"] == [{"bad": 1}]
+
+
+def run_quietly(argv) -> tuple[int, str, str]:
+    """cli.main(argv) with its stdout and stderr captured, for use inside @given."""
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = cli.main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def check_values_cap(argv, values: int, slack: int, want) -> None:
+    """Run argv with MAX_VALUES_READ = values + slack: refused exactly when over the cap."""
+    cap = max(0, values + slack)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "MAX_VALUES_READ", cap)
+        rc, out, err = run_quietly(argv)
+    if values > cap:
+        assert (rc, out, err) == (3, "", f"error: {argv[0]} caps values read at {cap}\n")
+    else:
+        assert (rc, err) == (0, "")
+        assert json.loads(out) == sorted(list(s) for s in want)
+
+
+@st.composite
+def basis_surjections(draw):
+    """A word over 1..r using every value, with no two equal neighbours (r <= 3, length <= 7)."""
+    r = draw(st.integers(1, 3))
+    word = [draw(st.integers(1, r))]
+    for _ in range(draw(st.integers(0, 6 if r > 1 else 0))):
+        word.append(draw(st.sampled_from([v for v in range(1, r + 1) if v != word[-1]])))
+    assume(set(word) == set(range(1, r + 1)))
+    return tuple(word)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(1, 4), st.integers(0, 3), st.data(), st.integers(-2, 2))
+def test_tr_values_cap_boundary(tmp_path_factory, r, n, data, slack):
+    # one row of n + r values per composition of n + r into n + 1 parts; a degenerate
+    # element reads no table, so no cap applies to it
+    e = tuple(tuple(data.draw(st.permutations(range(1, r + 1)))) for _ in range(n + 1))
+    path = tmp_path_factory.mktemp("tr") / "e.json"
+    path.write_text(json.dumps([list(p) for p in e]))
+    degenerate = any(x == y for x, y in zip(e, e[1:]))
+    values = 0 if degenerate else comb(n + r - 1, n) * (n + r)
+    check_values_cap(["tr", str(path), "--json"], values, slack,
+                     table_reduction(singleton(e)))
+
+
+@settings(deadline=None, max_examples=80)
+@given(basis_surjections(), basis_surjections(), st.data(), st.integers(-2, 2))
+def test_surj_compose_values_cap_boundary(outer, inner, data, slack):
+    # one word of len(outer) + len(inner) - 1 values per nondecreasing (k-1)-tuple
+    # over 1..len(inner), where slot p occurs k times in the outer word
+    p = data.draw(st.integers(1, max(outer)))
+    k = outer.count(p)
+    values = comb(len(inner) + k - 2, k - 1) * (len(outer) + len(inner) - 1)
+    check_values_cap(["surj-compose", json.dumps(list(outer)), str(p),
+                      json.dumps(list(inner)), "--json"], values, slack,
+                     surj_compose(outer, p, inner))

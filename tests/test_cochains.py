@@ -4,12 +4,13 @@ import random
 
 import pytest
 
+import cartan.cochains
 from cartan.barratt_eccles import (MID_SWAP4, SWAP2, cup_generator, diag_embed,
                                    diagonal_homotopy, embedding_homotopy,
                                    product_of_squares, sigma_act, squared_product)
-from cartan.cochains import (Cochain, _product_of_squares, apply_surjection,
-                             cartan_coboundary, cartan_defect, cup, cup_surjections,
-                             delta, ones, steenrod_square, witness_surjections)
+from cartan.cochains import (Cochain, apply_surjection, cartan_coboundary, cartan_defect,
+                             cup, cup_surjections, delta, ones, square_surjections,
+                             steenrod_square, witness_surjections)
 from cartan.f2 import ZERO, F2Sum, singleton
 from cartan.simplicial import faces_of_dim
 from cartan.surjection import (is_basis_surjection, surj_act, surj_boundary,
@@ -17,7 +18,7 @@ from cartan.surjection import (is_basis_surjection, surj_act, surj_boundary,
 from cartan.verify import random_cochain
 
 from oracles import (act_reference, all_faces, brute_surjection_value, cup0_value,
-                     diagonal_iter, join, restrict, surjection_monomials)
+                     diagonal_iter, join, restrict, squares_reference, surjection_monomials)
 
 
 def test_cochain_validation():
@@ -221,12 +222,14 @@ def test_witness_words_have_the_closed_form_shape():
 
 
 def test_closed_forms_equal_the_table_reduced_homotopies():
-    # the paper's construction as the oracle: TR(cartan_homotopy) is the sum of these two
+    # the paper's construction as the oracle: TR(cartan_homotopy) is the sum of these two,
+    # and TR of the product of squares is one word per j
     for i in range(9):
         x = singleton(cup_generator(i))
         assert cup_surjections(i) == tuple(sorted(table_reduction(x)))
         assert witness_surjections(i) == tuple(sorted(table_reduction(embedding_homotopy(x))))
         assert table_reduction(diagonal_homotopy(x)) == ZERO
+        assert square_surjections(i) == tuple(sorted(table_reduction(product_of_squares(x))))
 
 
 def test_witness_words_satisfy_the_cartan_relation():
@@ -241,23 +244,9 @@ def test_witness_words_satisfy_the_cartan_relation():
                        + table_reduction(product_of_squares(x)))
 
 
-def squares_words(i: int) -> list[tuple[int, ...]]:
-    """The words s_j . tau_j(s_{i-j}) for j <= i, with s_j the cup-j word 1 2 1 2 ...
-
-    tau_j sends 1 2 to 3 4 for even j and to 4 3 for odd j.
-    """
-    def tau(j, w):
-        return tuple(v + 2 if j % 2 == 0 else 5 - v for v in w)
-
-    return [cup_surjections(j)[0] + tau(j, cup_surjections(i - j)[0]) for j in range(i + 1)]
-
-
 def test_product_of_squares_is_the_reduced_paper_term():
-    # the paper's product of squares, table-reduced, is one word per j ...
-    for i in range(9):
-        x = singleton(cup_generator(i))
-        assert table_reduction(product_of_squares(x)) == F2Sum(squares_words(i))
-    # ... and those words act on (a, a, b, b) as the front/back evaluation
+    # the words of the reduced product of squares act on (a, a, b, b) as the paper's
+    # term, the literal sum over j of (a cup_j a) cup_0 (b cup_{i-j} b)
     rng = random.Random(5)
     for n in range(2, 7):
         for i in range(5):
@@ -265,8 +254,27 @@ def test_product_of_squares_is_the_reduced_paper_term():
                 a = random_cochain(rng, n, rng.randrange(3))
                 b = random_cochain(rng, n, rng.randrange(3))
                 m = 2 * a.dim + 2 * b.dim - i
-                assert _product_of_squares(i, a, b) == act_reference(
-                    squares_words(i), (a, a, b, b), n, m)
+                assert act_reference(square_surjections(i), (a, a, b, b), n, m) == (
+                    squares_reference(i, a, b))
+
+
+def test_square_words_have_the_closed_form_shape():
+    for i in range(13):
+        words = square_surjections(i)
+        assert len(set(words)) == len(words) == i + 1
+        for s in words:
+            assert len(s) == i + 4 and is_basis_surjection(s, 4)
+
+
+def test_cartan_defect_lists_no_words_without_a_face(monkeypatch):
+    # a defect dimension outside [0, n] returns before the i + 1 words are listed
+    def no_words(i):
+        raise AssertionError("product-of-squares words listed")
+
+    monkeypatch.setattr(cartan.cochains, "square_surjections", no_words)
+    a = delta(Cochain(2, 0, [(0,)]))
+    assert cartan_defect(5, a, a) == Cochain(2, -1)
+    assert cartan_defect(100, a, a) == Cochain(2, -96)
 
 
 def test_witness_value_matches_the_printed_monomial():

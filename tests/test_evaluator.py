@@ -2,12 +2,12 @@
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cartan.cochains
-from cartan.cochains import (Cochain, _product_of_squares, cartan_coboundary, cup,
-                             cup_surjections, delta, ones, steenrod_square,
+from cartan.cochains import (Cochain, _act_cochain, cartan_coboundary, cup, cup_surjections,
+                             delta, ones, square_surjections, steenrod_square,
                              witness_surjections)
 from cartan.simplicial import faces_of_dim
 
@@ -29,18 +29,40 @@ def make_cochain(rng: random.Random, n: int, dim: int, kind: str) -> Cochain:
 
 @st.composite
 def cochains(draw, n=None, max_dim=None):
-    """A cochain on the n-simplex (n <= 8), zero, sparse or dense."""
+    """A cochain on the n-simplex (n <= 8), zero, sparse or dense, dense twice as often."""
     if n is None:
         n = draw(st.integers(0, 8))
     dim = draw(st.integers(0, n if max_dim is None else min(n, max_dim)))
     rng = draw(st.randoms(use_true_random=False))
-    return make_cochain(rng, n, dim, draw(st.sampled_from(KINDS)))
+    return make_cochain(rng, n, dim, draw(st.sampled_from(KINDS + ("dense",))))
 
 
 @st.composite
 def pairs(draw, max_dim=None):
     a = draw(cochains(max_dim=max_dim))
     return a, draw(cochains(n=a.ambient, max_dim=max_dim))
+
+
+@st.composite
+def windowed(draw, doubled: bool):
+    """(i, a, b) with i <= 5 inside the window where the output dimension lies in [0, n].
+
+    The output has dimension s - i, with s = dim a + dim b for cup-i and
+    s = 2 dim a + 2 dim b - 1 for the witness on (a, a, b, b), so i is
+    drawn from [s - n, s]; a pair whose window misses [0, 5] is redrawn.
+    """
+    a, b = draw(pairs(max_dim=3 if doubled else None))
+    s = (2 if doubled else 1) * (a.dim + b.dim) - doubled
+    lo, hi = max(0, s - a.ambient), min(5, s)
+    assume(lo <= hi)
+    return draw(st.integers(lo, hi)), a, b
+
+
+def check_cup(i: int, a: Cochain, b: Cochain) -> Cochain:
+    """cup(i, a, b) after checking it against the reference loop."""
+    got = cup(i, a, b)
+    assert got == act_reference(cup_surjections(i), (a, b), a.ambient, a.dim + b.dim - i)
+    return got
 
 
 def check_witness(i: int, a: Cochain, b: Cochain) -> Cochain:
@@ -100,11 +122,25 @@ def test_delta_squares_to_zero_on_large_simplices(n, data):
 
 
 @settings(deadline=None, max_examples=60)
-@given(st.integers(0, 5), pairs())
-def test_cup_matches_the_reference(i, ab):
-    a, b = ab
-    want = act_reference(cup_surjections(i), (a, b), a.ambient, a.dim + b.dim - i)
-    assert cup(i, a, b) == want
+@given(windowed(doubled=False))
+def test_cup_matches_the_reference(iab):
+    check_cup(*iab)
+
+
+def test_cup_comparison_is_not_vacuous():
+    # every shape on the 7-simplex with an output face; each 1 <= i <= 5 must meet a nonzero cup
+    rng = random.Random(3)
+    nonzero = dict.fromkeys(range(1, 6), 0)
+    for i in nonzero:
+        for da in range(8):
+            for db in range(8):
+                if not 0 <= da + db - i <= 7:
+                    continue
+                for kind in ("sparse", "dense", "dense"):
+                    a = make_cochain(rng, 7, da, kind)
+                    b = make_cochain(rng, 7, db, "dense")
+                    nonzero[i] += not check_cup(i, a, b).is_zero
+    assert all(nonzero.values()), str(nonzero)
 
 
 @settings(deadline=None, max_examples=60)
@@ -119,9 +155,9 @@ def test_steenrod_square_matches_the_reference(k, a):
 
 
 @settings(deadline=None, max_examples=60)
-@given(st.integers(0, 5), pairs(max_dim=3))
-def test_cartan_coboundary_matches_the_reference(i, ab):
-    check_witness(i, *ab)
+@given(windowed(doubled=True))
+def test_cartan_coboundary_matches_the_reference(iab):
+    check_witness(*iab)
 
 
 def test_witness_comparison_is_not_vacuous():
@@ -173,8 +209,8 @@ def square_inputs(draw):
 @given(square_inputs())
 def test_product_of_squares_matches_the_literal_sum(iab):
     i, a, b = iab
-    got = _product_of_squares(i, a, b)
-    assert (got.ambient, got.dim) == (a.ambient, 2 * a.dim + 2 * b.dim - i)
+    got = _act_cochain(square_surjections(i), (a, a, b, b), a.ambient,
+                       2 * a.dim + 2 * b.dim - i)
     assert got == squares_reference(i, a, b)
 
 
@@ -190,4 +226,5 @@ def test_zero_input_scans_no_face(monkeypatch):
         for x, y in ((a, zero), (zero, a), (zero, zero)):
             assert cup(i, x, y) == Cochain(6, 2 - i)
             assert cartan_coboundary(i, x, y) == Cochain(6, 3 - i)
-            assert _product_of_squares(i, x, y) == Cochain(6, 4 - i)
+            assert _act_cochain(square_surjections(i), (x, x, y, y), 6, 4 - i) == (
+                Cochain(6, 4 - i))

@@ -4,7 +4,7 @@ import pytest
 
 from cartan.f2 import F2Sum, ZERO, hom_boundary, singleton
 from cartan.simplicial import (aw, boundary, degeneracy, degree_simplices, ez,
-                               face, faces_of_dim, is_degenerate, product, shih)
+                               faces_of_dim, is_degenerate, product, shih)
 
 from oracles import all_faces, tensor_boundary
 
@@ -18,11 +18,7 @@ def product_cells(na, nb, d):
 
 
 def test_face_and_degeneracy():
-    assert face((0, 1, 2), 0) == (1, 2)
-    assert face((0, 1, 2), 2) == (0, 1)
     assert degeneracy((0, 1, 2), 1) == (0, 1, 1, 2)
-    with pytest.raises(IndexError):
-        face((0, 1), 2)
     with pytest.raises(IndexError):
         degeneracy((0, 1), 2)
 
