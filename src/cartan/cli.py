@@ -41,7 +41,8 @@ MAX_WITNESS_INDEX = 12
 # largest --trials of verify cartan
 MAX_TRIALS = 10_000
 # largest number of values tr (rows x row length) or surj-compose (index tuples
-# x output length) may read; at the cap tr takes about 4 s, surj-compose about 1 s
+# x output length) may read, counted as if tr pruned no reading; at the cap tr took
+# under 1 s on every table tried, surj-compose about 1 s
 MAX_VALUES_READ = 2_000_000
 
 

@@ -12,11 +12,15 @@ permutation.  For every composition a = (a_0, ..., a_n) of n + r with
 positive parts, a sequence of n + r values is produced by taking, a_i
 times in row i, the first value of sigma_i not yet used -- where the
 last value produced by each non-final row stays available to later rows.
+The image is the sum of the sequences with no two equal neighbours.
+`_read_table` lists only those: it chooses the row lengths one row at a
+time and abandons a partial reading at its first pair of equal
+neighbours, instead of reading every composition and filtering.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 
 from .f2 import F2Sum
 
@@ -83,48 +87,42 @@ def surj_compose(s2: tuple[int, ...], p: int, s1: tuple[int, ...]) -> F2Sum:
     return F2Sum(substitutions())
 
 
-def compositions(total: int, parts: int):
-    """Ordered compositions of `total` into `parts` positive summands, lexicographic."""
-    for cuts in combinations(range(1, total), parts - 1):
-        prev = 0
-        out = []
-        for c in cuts:
-            out.append(c - prev)
-            prev = c
-        out.append(total - prev)
-        yield tuple(out)
+def _read_table(e: tuple):
+    """Every reading of the table `e` with no two equal neighbours.
 
-
-def reduce_table(perms: tuple, a: tuple[int, ...]) -> tuple[int, ...]:
-    """Read one value sequence off the table `perms` with row lengths `a`.
-
-    Row i contributes a_i values, each time the first entry of perms[i]
-    not currently used; closing a non-final row releases its last value
-    for reuse by later rows.
+    Row i reads its free values -- the entries of e[i] not in use, in
+    row order -- and stops after any of them; the final row reads them
+    all.  Reading k values puts the first k - 1 in use and leaves the
+    k-th, the row's last value, free for later rows.  A row's values are
+    distinct, so equal neighbours can only meet across rows: when a
+    row's first free value equals the last value of the row before, it
+    does so for every length of that row, so the whole branch is
+    dropped.  Every complete reading is onto: n + r values are read and
+    the n non-final rows release one each, so all r values end in use.
+    The search keeps its own stack, so a table of many rows does not
+    recurse.
     """
-    used: set[int] = set()
-    out: list[int] = []
-    last = len(a) - 1
-    for i, cnt in enumerate(a):
-        row = perms[i]
-        for _ in range(cnt):
-            v = next(x for x in row if x not in used)
-            out.append(v)
-            used.add(v)
-        if i != last:
-            used.discard(out[-1])
-    return tuple(out)
+    n = len(e) - 1
+    word: list[int] = []
+    # (row, values in use as a bit mask, where the previous row starts in the word,
+    #  the previous row's free values, how many of them it read)
+    stack = [(0, 0, 0, (), 0)]
+    while stack:
+        i, used, start, prev, k = stack.pop()
+        del word[start:]
+        word += prev[:k]
+        free = [v for v in e[i] if not used >> v & 1]
+        if word and free[0] == word[-1]:
+            continue
+        if i == n:
+            yield tuple(word + free)
+            continue
+        start = len(word)
+        for k, v in enumerate(free, 1):
+            stack.append((i + 1, used, start, free, k))
+            used |= 1 << v
 
 
 def table_reduction(c: F2Sum) -> F2Sum:
     """Degree-preserving operad map from Barratt-Eccles elements to surjections."""
-
-    def readings():
-        for e in c:
-            r = len(e[0])
-            n = len(e) - 1
-            for a in compositions(n + r, n + 1):
-                seq = reduce_table(e, a)
-                if is_basis_surjection(seq, r):
-                    yield seq
-    return F2Sum(readings())
+    return F2Sum(word for e in c for word in _read_table(e))

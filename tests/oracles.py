@@ -2,7 +2,8 @@
 
 Everything here is written from the definitions with no sharing of code
 paths with the implementation under test: cuts are enumerated one by
-one, joins recomputed, values multiplied out.  The one exception is the
+one, joins recomputed, tables read in full for every composition of
+the row lengths, values multiplied out.  The one exception is the
 reference evaluator `act_reference`: it walks the cached cut plans face
 by face and surjection by surjection, without compiling them, so it
 shares `_cut_plans`, which the tests check against
@@ -14,7 +15,7 @@ evaluates in place of the product of squares.
 """
 
 from collections import Counter
-from itertools import chain, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement
 
 from cartan.cochains import (Cochain, _cut_plans, cartan_coboundary, cup, delta,
                              witness_surjections)
@@ -53,6 +54,53 @@ def tensor_boundary(t: F2Sum) -> F2Sum:
                         yield x, yf
 
     return F2Sum(odd_terms(faces()))
+
+
+def compositions(total: int, parts: int):
+    """Ordered compositions of `total` into `parts` positive summands, lexicographic."""
+    for cuts in combinations(range(1, total), parts - 1):
+        prev = 0
+        out = []
+        for c in cuts:
+            out.append(c - prev)
+            prev = c
+        out.append(total - prev)
+        yield tuple(out)
+
+
+def reduce_table(perms: tuple, a: tuple[int, ...]) -> tuple[int, ...]:
+    """Read one value sequence off the table `perms` with row lengths `a`.
+
+    Row i contributes a_i values, each time the first entry of perms[i]
+    not currently used; closing a non-final row releases its last value
+    for reuse by later rows.
+    """
+    used: set[int] = set()
+    out: list[int] = []
+    last = len(a) - 1
+    for i, cnt in enumerate(a):
+        row = perms[i]
+        for _ in range(cnt):
+            v = next(x for x in row if x not in used)
+            out.append(v)
+            used.add(v)
+        if i != last:
+            used.discard(out[-1])
+    return tuple(out)
+
+
+def table_reduction_reference(c: F2Sum) -> F2Sum:
+    """Table reduction read naively: every composition's full reading, then the basis filter."""
+
+    def readings():
+        for e in c:
+            r, n = len(e[0]), len(e) - 1
+            for a in compositions(n + r, n + 1):
+                seq = reduce_table(e, a)
+                if len(set(seq)) == r and all(x != y for x, y in zip(seq, seq[1:])):
+                    yield seq
+
+    return F2Sum(odd_terms(readings()))
 
 
 def surj_degree(seq: tuple[int, ...]) -> int:

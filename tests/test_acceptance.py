@@ -10,12 +10,12 @@ from cartan.barratt_eccles import (cartan_homotopy, cup_generator,
 from cartan.cochains import Cochain, cartan_coboundary, cartan_defect, cup, delta
 from cartan.f2 import ZERO, F2Sum, singleton
 from cartan.simplicial import faces_of_dim, is_degenerate
-from cartan.surjection import (compositions, reduce_table, surj_compose,
-                               table_reduction)
+from cartan.surjection import surj_compose, table_reduction
 from cartan.verify import (LEMMA_SUITES, STRUCTURAL_SUITES, random_cochain,
                            run_cartan, sweep_inputs)
 
-from oracles import all_faces, cup0_value, defect_reference, zeta_monomials
+from oracles import (all_faces, compositions, cup0_value, defect_reference, reduce_table,
+                     zeta_monomials)
 
 E4 = (1, 2, 3, 4)
 P12 = (2, 1, 3, 4)

@@ -213,6 +213,16 @@ def test_tr_golden(capsys, tmp_path):
     assert rc == 0 and json.loads(out) == [[1, 3, 2, 3, 4, 3]]
 
 
+def test_tr_reads_a_table_of_many_rows(capsys, tmp_path):
+    # the arity-2 element of degree 1400, 1,964,202 values at the cap: its one reading
+    # with no equal neighbours is the word 1 2 1 2 ... of 1402 letters
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps([[1, 2] if k % 2 == 0 else [2, 1] for k in range(1401)]))
+    assert comb(1401, 1400) * 1402 <= cli.MAX_VALUES_READ
+    rc, out = run(capsys, "tr", str(path))
+    assert rc == 0 and out == "(" + ",".join(["1,2"] * 701) + ")\n"
+
+
 def test_tr_degenerate_input_is_zero(capsys, tmp_path):
     path = tmp_path / "e.json"
     path.write_text("[[1,2],[1,2]]")

@@ -8,6 +8,7 @@ import cartan.cochains
 from cartan.barratt_eccles import (MID_SWAP4, SWAP2, cup_generator, diag_embed,
                                    diagonal_homotopy, embedding_homotopy,
                                    product_of_squares, sigma_act, squared_product)
+from cartan.cli import MAX_WITNESS_INDEX
 from cartan.cochains import (Cochain, apply_surjection, cartan_coboundary, cartan_defect,
                              cup, cup_surjections, delta, ones, square_surjections,
                              steenrod_square, witness_surjections)
@@ -185,6 +186,17 @@ def test_cup_shape_handling():
         cup(0, a, Cochain(3, 1, [(0, 1)]))
 
 
+def test_cup_out_of_range_builds_no_word():
+    # an output dimension outside [0, n] returns before the i + 2 letter word is built and cached
+    a = delta(Cochain(2, 0, [(0,)]))
+    cup_surjections(0)  # the defect's cup(0, a, a) has a face
+    before = cup_surjections.cache_info().currsize
+    assert cup(10**6, a, a) == Cochain(2, 2 - 10**6)
+    assert cup(0, a, Cochain(2, 2, [(0, 1, 2)])) == Cochain(2, 3)
+    assert cartan_defect(10**6, a, a) == Cochain(2, 4 - 10**6)
+    assert cup_surjections.cache_info().currsize == before
+
+
 def test_coboundary_derivation_law():
     # delta(a cup_i b) = da cup_i b + a cup_i db + a cup_{i-1} b + b cup_{i-1} a
     rng = random.Random(5)
@@ -223,8 +235,8 @@ def test_witness_words_have_the_closed_form_shape():
 
 def test_closed_forms_equal_the_table_reduced_homotopies():
     # the paper's construction as the oracle: TR(cartan_homotopy) is the sum of these two,
-    # and TR of the product of squares is one word per j
-    for i in range(9):
+    # and TR of the product of squares is one word per j, for every index the CLI accepts
+    for i in range(MAX_WITNESS_INDEX + 1):
         x = singleton(cup_generator(i))
         assert cup_surjections(i) == tuple(sorted(table_reduction(x)))
         assert witness_surjections(i) == tuple(sorted(table_reduction(embedding_homotopy(x))))
@@ -234,7 +246,7 @@ def test_closed_forms_equal_the_table_reduced_homotopies():
 
 def test_witness_words_satisfy_the_cartan_relation():
     # d W_i + W_{i-1} + (2 1 4 3) W_{i-1} = TR((2 3) squared product) + TR(product of squares)
-    for i in range(9):
+    for i in range(MAX_WITNESS_INDEX + 1):
         x = singleton(cup_generator(i))
         lhs = surj_boundary(F2Sum(witness_surjections(i)))
         if i:

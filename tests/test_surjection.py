@@ -1,15 +1,17 @@
 """Surjection basis handling, composition, and reduction from permutation tuples."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cartan.barratt_eccles import sigma_act
 from cartan.f2 import F2Sum, ZERO, singleton
 from cartan.simplicial import boundary
-from cartan.surjection import (compositions, is_basis_surjection,
-                               reduce_table, surj_act, surj_boundary,
+from cartan.surjection import (is_basis_surjection, surj_act, surj_boundary,
                                surj_compose, table_reduction)
+from cartan.verify import arity_basis
 
-from oracles import surj_degree
+from oracles import compositions, reduce_table, surj_degree, table_reduction_reference
 
 
 def test_basis_predicate():
@@ -116,3 +118,31 @@ def test_table_reduction_is_equivariant():
     for sigma in [(2, 1, 3), (3, 1, 2), (1, 3, 2)]:
         acted = F2Sum(surj_act(sigma, s) for s in table_reduction(c))
         assert acted == table_reduction(sigma_act(sigma, c))
+
+
+def test_table_reduction_equals_the_naive_reading_on_every_small_element():
+    # 18 + 4686 + 13272 basis elements: arity 2 through degree 8, 3 through 4, 4 through 2
+    for r, top in ((2, 8), (3, 4), (4, 2)):
+        for degree in range(top + 1):
+            for e in arity_basis(r, degree):
+                assert table_reduction(singleton(e)) == table_reduction_reference(singleton(e))
+
+
+def test_table_reduction_equals_the_naive_reading_on_random_tables():
+    # any table, degenerate ones included; the pruned and the nonempty cases must both occur
+    seen = {"pruned": 0, "nonempty": 0}
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(1, 5).flatmap(
+        lambda r: st.lists(st.permutations(range(1, r + 1)), min_size=1, max_size=5)))
+    def check(rows):
+        e = tuple(map(tuple, rows))
+        want = table_reduction_reference(singleton(e))
+        assert table_reduction(singleton(e)) == want
+        r, n = len(e[0]), len(e) - 1
+        readings = [reduce_table(e, a) for a in compositions(n + r, n + 1)]
+        seen["pruned"] += any(x == y for seq in readings for x, y in zip(seq, seq[1:]))
+        seen["nonempty"] += bool(want)
+
+    check()
+    assert seen["pruned"] and seen["nonempty"], seen
