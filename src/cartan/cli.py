@@ -3,11 +3,11 @@
 Exit codes: 0 success, 1 a verification sweep found counterexamples,
 2 malformed arguments or input files, 3 shape mismatch (ambient or slot
 disagreements, a cap exceeded), 4 cocycle precondition violated.
-Every work knob has a cap: the ambient dimension (`CARTAN_MAX_N`), the
-witness index `--i` of `zeta`, `defect` and `verify cartan`, the
-sweep's `--trials`, and each identity suite's `--max-degree`; `tr` and
-`surj-compose` count the values they would read and refuse a count
-above `MAX_VALUES_READ` before doing any work.
+Every work knob has a cap: the ambient dimension (`CARTAN_MAX_N`, itself
+at most `MAX_AMBIENT_CAP`), the witness index `--i` of `zeta`, `defect`
+and `verify cartan`, the sweep's `--trials`, and each identity suite's
+`--max-degree`; `tr` and `surj-compose` count the values they would read
+and refuse a count above `MAX_VALUES_READ` before doing any work.
 Output is deterministic for fixed inputs and seed: supports, term lists
 and JSON keys are all sorted.
 """
@@ -34,6 +34,12 @@ SHAPE = 3
 COCYCLE = 4
 
 DEFAULT_MAX_N = 6
+# largest value CARTAN_MAX_N may take: at ambient 16 the slowest calls on dense random
+# coboundaries took 1.3 s (sq --k 3 of an 8-cocycle), 0.6 s (zeta --i 4 of a 1- and a
+# 7-cocycle) and 1.5 s (defect --i 5 of a 0- and an 8-cocycle), at most 150 MB each, on
+# one shared 2-core VM; the cocycle check's delta keeps one coface mask of C(n+1, d+2)
+# bits per support face, so at ambient 20 a dense 9-cocycle alone would need about 8 GB
+MAX_AMBIENT_CAP = 16
 # largest --i of zeta, defect and verify cartan: the witness has floor((i+2)^2 / 4)
 # words of length i + 5 to evaluate, and defect adds cup_i and the product of
 # squares, i + 1 words of length i + 4
@@ -54,14 +60,17 @@ class CliError(Exception):
 
 
 def max_ambient() -> int:
-    """Ambient-dimension cap, overridable through CARTAN_MAX_N."""
+    """Ambient-dimension cap, overridable through CARTAN_MAX_N up to MAX_AMBIENT_CAP."""
     raw = os.environ.get("CARTAN_MAX_N")
     if raw is None:
         return DEFAULT_MAX_N
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise CliError(PARSE, f"CARTAN_MAX_N must be an integer, not {raw!r}") from None
+    if cap > MAX_AMBIENT_CAP:
+        raise CliError(PARSE, f"CARTAN_MAX_N must be at most {MAX_AMBIENT_CAP}, not {raw!r}")
+    return cap
 
 
 def require_at_most(command: str, what: str, value: int | None, cap: int) -> None:

@@ -12,10 +12,13 @@ closed-form surjections (see `witness_surjections`).  The defect's
 product of squares is i + 1 arity-4 words too (`square_surjections`),
 so no cup-j factor is built as a whole cochain.
 
-Every action runs through one evaluator, `_evaluate`: it compiles the
-cut plans once per call, every plan of every surjection becoming a tuple
-of (getter, support) pairs, one per cochain, and checks each target
-face against those pairs in one tight loop.
+Every action runs through one evaluator, `_evaluate`, which works plan
+by plan rather than face by face.  Each cut plan is a conjunction of
+tests (slot, positions), and each test filters the target faces that
+passed the plan's earlier tests in one C-level pass.  The filtered lists
+are kept per prefix of sorted tests, so plans that begin with the same
+tests, and slots that hold the same cochain, filter once.  A face is in
+the result when an odd number of plans keep it.
 
 The coboundary is bit-parallel.  Number the (d+1)-faces of the
 n-simplex by their colex rank; the coface mask of a d-face f is the
@@ -34,6 +37,7 @@ Cochains that this module builds itself (the results of the action,
 from __future__ import annotations
 
 from functools import lru_cache, partial, reduce
+from itertools import compress
 from math import comb
 from operator import itemgetter, xor
 
@@ -259,37 +263,48 @@ def _cut_plans(seq: tuple[int, ...], dims: tuple[int, ...], m: int):
     return tuple(plans)
 
 
-def _evaluate(surjs, cochains, faces) -> list:
+def _evaluate(surjs, cochains, faces) -> set:
     """The faces on which an odd number of the surjections' cut plans pass.
 
-    The faces share one dimension m.  Every cut plan on m-faces is
-    compiled into (getter, support) pairs, one per cochain, and a face
-    passes a plan when each getter picks out a face that lies in its
-    support.  A getter of one position returns a bare vertex rather
-    than a 1-tuple, which happens exactly for dimension-0 cochains, so
-    their support is keyed by vertex.  Nothing is compiled when there
-    is no face.
+    The faces share one dimension m.  A cut plan on m-faces becomes its
+    sorted set of tests (slot, positions): a face passes a test when its
+    vertices at those positions form a face in the support of the
+    cochain in that slot, and passes the plan when it passes every test.
+    The slot of a cochain is the first one that holds the same object,
+    so the plans of (a, a, b, b) or of a cup of a with itself test each
+    support under one name, and a repeated test is made once.  Each
+    test filters, in one pass of `compress`, the faces that passed the
+    plan's earlier tests.  The filtered lists live in a prefix tree of
+    tests, one per call, so plans that begin with the same tests filter
+    once, and a plan stops at its first empty list.  A face passes a
+    plan at most once, so the result is the symmetric difference of
+    what the plans keep.  A getter of one position returns a bare
+    vertex rather than a 1-tuple, which happens exactly for dimension-0
+    cochains, so their support is keyed by vertex.
     """
     if not faces:
-        return []
+        return set()
     dims = tuple(c.dim for c in cochains)
-    supports = [frozenset(f[0] for f in c.support) if c.dim == 0 else c.support
+    ids = [id(c) for c in cochains]
+    slots = [ids.index(x) for x in ids]
+    contains = [(frozenset(f[0] for f in c.support) if c.dim == 0 else c.support).__contains__
                 for c in cochains]
-    plans = [tuple((itemgetter(*positions), supp) for positions, supp in zip(plan, supports))
-             for s in surjs for plan in _cut_plans(s, dims, len(faces[0]) - 1)]
-    if not plans:
-        return []
-    out = []
-    for f in faces:
-        val = 0
-        for plan in plans:
-            for get, supp in plan:
-                if get(f) not in supp:
+    root = {}
+    out = set()
+    for s in surjs:
+        for plan in _cut_plans(s, dims, len(faces[0]) - 1):
+            node, passed = root, faces
+            for test in sorted(set(zip(slots, plan))):
+                entry = node.get(test)
+                if entry is None:
+                    slot, positions = test
+                    entry = node[test] = (list(compress(
+                        passed, map(contains[slot], map(itemgetter(*positions), passed)))), {})
+                passed, node = entry
+                if not passed:
                     break
             else:
-                val ^= 1
-        if val:
-            out.append(f)
+                out.symmetric_difference_update(passed)
     return out
 
 

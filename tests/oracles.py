@@ -11,7 +11,8 @@ shares `_cut_plans`, which the tests check against
 `squares_reference` and `defect_reference` are the literal sums of
 whole cup products: they share `cup`, which the tests check against
 `act_reference`, and check the arity-4 words that `cartan_defect`
-evaluates in place of the product of squares.
+evaluates in place of the product of squares.  `cup_i_reference`, the
+closed cup-i formula, uses neither the cut plans nor the evaluator.
 """
 
 from collections import Counter
@@ -194,6 +195,31 @@ def act_reference(surjs, cochains, n: int, dim: int) -> Cochain:
     """Sum of the surjections acting on the cochains, one face and one surjection at a time."""
     return Cochain(n, dim, [f for f in faces_of_dim(n, dim)
                             if sum(plan_walk_value(s, cochains, f) for s in surjs) % 2])
+
+
+def cup_i_reference(i: int, a: Cochain, b: Cochain) -> Cochain:
+    """Cup-i product by the closed formula of Medina-Mardones, with no cut plans.
+
+    From *New formulas for cup-i products and fast computation of
+    Steenrod squares* (2020): on an m-face f, with m = dim a + dim b - i,
+    the value is the sum over subsets U of the positions {0..m} with
+    |U| = m - i of a(f minus the positions in U0) b(f minus those in U1),
+    where U0 holds the u_j (u_1 < u_2 < ..., j counted from 1) with
+    u_j + j even and U1 the rest of U.
+    """
+    m = a.dim + b.dim - i
+    out = []
+    # no U has a negative size: the sum is empty when i > m
+    for f in faces_of_dim(a.ambient, m) if i <= m else ():
+        total = 0
+        for u in combinations(range(m + 1), m - i):
+            u0 = {p for j, p in enumerate(u, 1) if (p + j) % 2 == 0}
+            u1 = set(u) - u0
+            total ^= (a.value(tuple(v for p, v in enumerate(f) if p not in u0))
+                      & b.value(tuple(v for p, v in enumerate(f) if p not in u1)))
+        if total:
+            out.append(f)
+    return Cochain(a.ambient, m, out)
 
 
 def delta_reference(a: Cochain) -> Cochain:

@@ -204,6 +204,18 @@ def test_ambient_cap(capsys, cochain_file, monkeypatch):
     assert rc == 2
 
 
+def test_ambient_cap_has_an_upper_bound(capsys, cochain_file, monkeypatch):
+    # CARTAN_MAX_N itself is capped: the cocycle check's coface masks grow as C(n+1, d+2)
+    alpha = cochain_file("a.json", 8, 0, [(0,)])
+    monkeypatch.setenv("CARTAN_MAX_N", str(cli.MAX_AMBIENT_CAP))
+    rc, _ = run(capsys, "cup", "--i", "0", alpha, alpha)
+    assert rc == 0
+    monkeypatch.setenv("CARTAN_MAX_N", str(cli.MAX_AMBIENT_CAP + 1))
+    for argv in (("cup", "--i", "0", alpha, alpha), ("verify", "--i", "0", "--n", "1")):
+        assert cli.main(list(argv)) == 2
+        assert f"at most {cli.MAX_AMBIENT_CAP}" in capsys.readouterr().err
+
+
 def test_tr_golden(capsys, tmp_path):
     path = tmp_path / "e.json"
     path.write_text("[[1,3,2,4],[1,2,3,4],[2,1,4,3]]")

@@ -14,7 +14,7 @@ from cartan.cochains import (Cochain, apply_surjection, cartan_coboundary, carta
                              steenrod_square, witness_surjections)
 from cartan.f2 import ZERO, F2Sum, singleton
 from cartan.simplicial import faces_of_dim
-from cartan.surjection import (is_basis_surjection, surj_act, surj_boundary,
+from cartan.surjection import (is_basis_surjection, surj_act, surj_boundary, surj_compose,
                                table_reduction)
 from cartan.verify import random_cochain
 
@@ -233,27 +233,41 @@ def test_witness_words_have_the_closed_form_shape():
             assert len(s) == i + 5 and is_basis_surjection(s, 4)
 
 
+def squared_product_words(i: int) -> F2Sum:
+    """(2 3) Q_i, where Q_i puts cup_0 into inputs 2 and then 1 of the cup-i word.
+
+    Q_i is the squared product cup_i o (cup_0, cup_0), built by
+    `surj_compose` alone, with no Barratt-Eccles element or table.
+    """
+    (word,) = cup_surjections(i)
+    q = surj_compose(word, 2, (1, 2)).map_basis(lambda s: surj_compose(s, 1, (1, 2)))
+    return F2Sum(surj_act(MID_SWAP4, s) for s in q)
+
+
 def test_closed_forms_equal_the_table_reduced_homotopies():
     # the paper's construction as the oracle: TR(cartan_homotopy) is the sum of these two,
-    # and TR of the product of squares is one word per j, for every index the CLI accepts
+    # and TR of the product of squares is one word per j, for every index the CLI accepts;
+    # TR of the squared product is the composite of cup words
     for i in range(MAX_WITNESS_INDEX + 1):
         x = singleton(cup_generator(i))
         assert cup_surjections(i) == tuple(sorted(table_reduction(x)))
         assert witness_surjections(i) == tuple(sorted(table_reduction(embedding_homotopy(x))))
         assert table_reduction(diagonal_homotopy(x)) == ZERO
         assert square_surjections(i) == tuple(sorted(table_reduction(product_of_squares(x))))
+        assert squared_product_words(i) == table_reduction(
+            sigma_act(MID_SWAP4, squared_product(x)))
 
 
 def test_witness_words_satisfy_the_cartan_relation():
-    # d W_i + W_{i-1} + (2 1 4 3) W_{i-1} = TR((2 3) squared product) + TR(product of squares)
-    for i in range(MAX_WITNESS_INDEX + 1):
-        x = singleton(cup_generator(i))
+    # d W_i + W_{i-1} + (2 1 4 3) W_{i-1} = (2 3) Q_i + the product of squares, far past
+    # the index cap and with no Barratt-Eccles element; at i <= 12 both sides are the
+    # table reductions of the paper's terms (the test above)
+    for i in range(41):
         lhs = surj_boundary(F2Sum(witness_surjections(i)))
         if i:
             prev = witness_surjections(i - 1)
             lhs = lhs + F2Sum(prev) + F2Sum(surj_act(diag_embed(SWAP2), s) for s in prev)
-        assert lhs == (table_reduction(sigma_act(MID_SWAP4, squared_product(x)))
-                       + table_reduction(product_of_squares(x)))
+        assert lhs == squared_product_words(i) + F2Sum(square_surjections(i))
 
 
 def test_product_of_squares_is_the_reduced_paper_term():

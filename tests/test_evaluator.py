@@ -1,4 +1,4 @@
-"""The compiled cochain evaluator and delta against the per-face references in `oracles`."""
+"""The plan-major cochain evaluator and delta against the per-face references in `oracles`."""
 
 import random
 
@@ -11,7 +11,7 @@ from cartan.cochains import (Cochain, _act_cochain, cartan_coboundary, cup, cup_
                              witness_surjections)
 from cartan.simplicial import faces_of_dim
 
-from oracles import act_reference, delta_reference, squares_reference
+from oracles import act_reference, cup_i_reference, delta_reference, squares_reference
 
 KINDS = ("zero", "sparse", "dense")
 
@@ -70,9 +70,10 @@ def windowed(draw, doubled: bool):
 
 
 def check_cup(i: int, a: Cochain, b: Cochain) -> Cochain:
-    """cup(i, a, b) after checking it against the reference loop."""
+    """cup(i, a, b) after checking it against the reference loop and the closed formula."""
     got = cup(i, a, b)
     assert got == act_reference(cup_surjections(i), (a, b), a.ambient, a.dim + b.dim - i)
+    assert got == cup_i_reference(i, a, b)
     return got
 
 
@@ -154,6 +155,26 @@ def test_cup_comparison_is_not_vacuous():
     assert all(nonzero.values()), str(nonzero)
 
 
+@settings(deadline=None, max_examples=100)
+@given(pairs(), st.data())
+def test_cup_matches_the_closed_formula_for_every_index(ab, data):
+    a, b = ab
+    i = data.draw(st.integers(0, a.dim + b.dim))
+    assert cup(i, a, b) == cup_i_reference(i, a, b)
+
+
+def test_squares_of_sparse_coboundaries_match_the_closed_formula():
+    # the squares-sparse benchmark's shape, past the n <= 8 of the tests above: every
+    # Sq^k of the coboundary of three random faces on the 10-, 11- and 12-simplex
+    rng = random.Random(4)
+    for n, dims in ((10, (2, 4)), (11, (1, 3)), (12, (2, 3))):
+        for d in dims:
+            a = delta(Cochain(n, d - 1, rng.sample(faces_of_dim(n, d - 1), 3)))
+            squares = [steenrod_square(k, a) for k in range(d + 1)]
+            assert squares == [cup_i_reference(d - k, a, a) for k in range(d + 1)]
+            assert sum(not sq.is_zero for sq in squares) >= 2
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.integers(0, 5), cochains())
 def test_steenrod_square_matches_the_reference(k, a):
@@ -185,6 +206,28 @@ def test_witness_comparison_is_not_vacuous():
                     b = make_cochain(rng, 8, db, "dense")
                     nonzero[i] += not check_witness(i, a, b).is_zero
     assert all(nonzero.values()), str(nonzero)
+
+
+def copy(c: Cochain) -> Cochain:
+    """An equal cochain that is a distinct object."""
+    return Cochain(c.ambient, c.dim, c.support)
+
+
+@settings(deadline=None, max_examples=60)
+@given(windowed(doubled=True))
+def test_one_object_in_several_slots_acts_as_equal_copies(iab):
+    # the evaluator shares the tests of slots that hold one object; equal but
+    # distinct copies share nothing, so both must give the same cochain
+    i, a, b = iab
+    n = a.ambient
+    assert cup(i, a, a) == cup(i, a, copy(a))
+    dim = 2 * a.dim + 2 * b.dim - i - 1
+    assert cartan_coboundary(i, a, b) == _act_cochain(
+        witness_surjections(i), (a, copy(a), b, copy(b)), n, dim)
+    assert cartan_coboundary(i, a, a) == _act_cochain(
+        witness_surjections(i), (a, copy(a), copy(a), copy(a)), n, 4 * a.dim - i - 1)
+    assert _act_cochain(square_surjections(i), (a, a, b, b), n, dim + 1) == _act_cochain(
+        square_surjections(i), (a, copy(a), b, copy(b)), n, dim + 1)
 
 
 @st.composite
