@@ -5,9 +5,11 @@ Exit codes: 0 success, 1 a verification sweep found counterexamples,
 disagreements, a cap exceeded), 4 cocycle precondition violated.
 Every work knob has a cap: the ambient dimension (`CARTAN_MAX_N`, itself
 at most `MAX_AMBIENT_CAP`), the witness index `--i` of `zeta`, `defect`
-and `verify cartan`, the sweep's `--trials`, and each identity suite's
-`--max-degree`; `tr` and `surj-compose` count the values they would read
-and refuse a count above `MAX_VALUES_READ` before doing any work.
+and `verify cartan`, the sweep's `--trials` alone and times its ambient's
+face count (`MAX_SWEEP_COST`), its `--dim` values, and each identity
+suite's `--max-degree`; `tr` and `surj-compose` count the values they
+would read and refuse a count above `MAX_VALUES_READ` before doing any
+work.
 Output is deterministic for fixed inputs and seed: supports, term lists
 and JSON keys are all sorted.
 """
@@ -37,8 +39,10 @@ DEFAULT_MAX_N = 6
 # largest value CARTAN_MAX_N may take: at ambient 16 the slowest calls on dense random
 # coboundaries took 1.3 s (sq --k 3 of an 8-cocycle), 0.6 s (zeta --i 4 of a 1- and a
 # 7-cocycle) and 1.5 s (defect --i 5 of a 0- and an 8-cocycle), at most 150 MB each, on
-# one shared 2-core VM; the cocycle check's delta keeps one coface mask of C(n+1, d+2)
-# bits per support face, so at ambient 20 a dense 9-cocycle alone would need about 8 GB
+# one shared 2-core VM; the cocycle check's delta keeps one coface mask per support
+# face, with one bit per coface met so far, at most C(n+1, d+2); a dense cocycle meets
+# nearly all of them (30 MB of masks for a dense 7-cocycle at ambient 16), so at
+# ambient 20 a dense 9-cocycle alone would need about 8 GB
 MAX_AMBIENT_CAP = 16
 # largest --i of zeta, defect and verify cartan: the witness has floor((i+2)^2 / 4)
 # words of length i + 5 to evaluate, and defect adds cup_i and the product of
@@ -46,6 +50,12 @@ MAX_AMBIENT_CAP = 16
 MAX_WITNESS_INDEX = 12
 # largest --trials of verify cartan
 MAX_TRIALS = 10_000
+# largest --trials x C(n+1, (n+1)//2) of verify cartan, the trials times the most faces
+# of one dimension of the n-simplex; a trial took at most 23 us per such face (n = 16,
+# i = 6; 33 us at n = 0, where the count is 1) on one shared 2-core VM, so a sweep at
+# the cap runs for about a minute, and the default 100 trials run at every ambient up
+# to MAX_AMBIENT_CAP (100 x C(17, 8) = 2,431,000)
+MAX_SWEEP_COST = 2_500_000
 # largest number of values tr (rows x row length) or surj-compose (index tuples
 # x output length) may read, counted as if tr pruned no reading; at the cap tr took
 # under 1 s on every table tried, surj-compose about 1 s
@@ -207,8 +217,13 @@ def cmd_verify(args) -> int:
             raise CliError(SHAPE, f"ambient {args.n} exceeds the cap {cap} (CARTAN_MAX_N)")
         require_at_most("verify cartan", "--i", args.i, MAX_WITNESS_INDEX)
         require_at_most("verify cartan", "--trials", args.trials, MAX_TRIALS)
-        report = run_cartan(args.i, args.n,
-                            trials=100 if args.trials is None else args.trials,
+        # the sweep samples cochains of dimension below max(n, 1) (`cocycle_dim_pool`)
+        require_at_most("verify cartan", "--dim", None if args.dim is None else max(args.dim),
+                        max(args.n, 1) - 1)
+        trials = 100 if args.trials is None else args.trials
+        require_at_most("verify cartan", "--trials x C(n+1, (n+1)//2)",
+                        trials * comb(args.n + 1, (args.n + 1) // 2), MAX_SWEEP_COST)
+        report = run_cartan(args.i, args.n, trials=trials,
                             seed=0 if args.seed is None else args.seed,
                             dims=None if args.dim is None else tuple(args.dim))
     else:

@@ -12,22 +12,24 @@ closed-form surjections (see `witness_surjections`).  The defect's
 product of squares is i + 1 arity-4 words too (`square_surjections`),
 so no cup-j factor is built as a whole cochain.
 
-Every action runs through one evaluator, `_evaluate`, which works plan
-by plan rather than face by face.  Each cut plan is a conjunction of
-tests (slot, positions), and each test filters the target faces that
-passed the plan's earlier tests in one C-level pass.  The filtered lists
-are kept per prefix of sorted tests, so plans that begin with the same
-tests, and slots that hold the same cochain, filter once.  A face is in
-the result when an odd number of plans keep it.
+Every action runs through one guarded entry, `_act_cochain`, and one
+evaluator, `_evaluate`, which works plan by plan rather than face by
+face.  Each cut plan is a conjunction of tests (slot, positions), and
+each test filters the target faces that passed the plan's earlier
+tests in one C-level pass.  The filtered lists are kept per prefix of
+sorted tests, so plans that begin with the same tests, and slots that
+hold the same cochain, filter once.  A face is in the result when an
+odd number of plans keep it.
 
-The coboundary is bit-parallel.  Number the (d+1)-faces of the
-n-simplex by their colex rank; the coface mask of a d-face f is the
-integer with a bit at the rank of every coface f + {v}.  `delta` XORs
-the masks of the support faces and decodes the set bits of the result
-into faces, so a cocycle costs one dictionary lookup and one XOR per
-support face and decodes nothing.  Masks and decoded faces are
-memoized per (ambient, dim) on first use, so the memo grows with the
-faces `delta` has met, not with the number of faces of the simplex.
+The coboundary is bit-parallel.  `delta` numbers the (d+1)-faces of
+the n-simplex in the order it first meets them as cofaces f + {v} of
+a support face f; the coface mask of a d-face is the integer with a
+bit at the number of each of its cofaces.  `delta` XORs the masks of
+the support faces and decodes the set bits of the result into faces,
+so a cocycle costs one dictionary lookup and one XOR per support face
+and decodes nothing.  Masks and numbers are memoized per (ambient,
+dim) on first use, so the memo grows with the faces `delta` has met,
+not with the number of faces of the simplex.
 
 Cochains that this module builds itself (the results of the action,
 `delta` and `+`) skip the validation that the public constructor and
@@ -36,9 +38,8 @@ Cochains that this module builds itself (the results of the action,
 
 from __future__ import annotations
 
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 from itertools import compress
-from math import comb
 from operator import itemgetter, xor
 
 from .simplicial import faces_of_dim
@@ -154,31 +155,21 @@ class _Memo(dict):
         return value
 
 
-def _colex_rank(face: tuple[int, ...]) -> int:
-    """Position of a strictly increasing vertex tuple among those of its length, in colex order."""
-    return sum(comb(v, j) for j, v in enumerate(face, 1))
+def _coface_memo(n: int):
+    """Coface masks of faces of the n-simplex, filled on first lookup, and their cofaces.
 
+    A coface f + {v} gets the next bit the first time a mask meets it,
+    and `cofaces` lists the cofaces in the order of their bits.
+    """
+    cofaces: list = []
+    bit_of = _Memo(lambda g: cofaces.append(g) or len(cofaces) - 1)
 
-def _colex_face(size: int, rank: int) -> tuple[int, ...]:
-    """The strictly increasing tuple of `size` vertices whose colex rank is `rank`."""
-    face = []
-    for j in range(size, 0, -1):
-        v = j - 1
-        while comb(v + 1, j) <= rank:
-            v += 1
-        rank -= comb(v, j)
-        face.append(v)
-    return tuple(reversed(face))
+    def mask(f: tuple[int, ...]) -> int:
+        return sum(1 << bit_of[f[:k] + (v,) + f[k:]]
+                   for k, (lo, hi) in enumerate(zip((-1,) + f, f + (n + 1,)))
+                   for v in range(lo + 1, hi))
 
-
-def _coface_mask(n: int, f: tuple[int, ...]) -> int:
-    """The cofaces f + {v} of a face of the n-simplex, as bits at their colex ranks."""
-    bounds = (-1,) + f + (n + 1,)
-    mask = 0
-    for k in range(len(f) + 1):
-        for v in range(bounds[k] + 1, bounds[k + 1]):
-            mask |= 1 << _colex_rank(f[:k] + (v,) + f[k:])
-    return mask
+    return _Memo(mask), cofaces
 
 
 def _bits(x: int):
@@ -190,7 +181,7 @@ def _bits(x: int):
 
 
 # (ambient, dim) -> (coface mask of each dim-face met so far,
-#                    (dim+1)-face of each colex rank decoded so far)
+#                    (dim+1)-face of each bit handed out so far)
 _COFACES: dict = {}
 
 
@@ -203,11 +194,10 @@ def delta(a: Cochain) -> Cochain:
     n, dim = a.ambient, a.dim
     memo = _COFACES.get((n, dim))
     if memo is None:
-        memo = _COFACES[n, dim] = (_Memo(partial(_coface_mask, n)),
-                                   _Memo(partial(_colex_face, dim + 2)))
-    masks, faces = memo
+        memo = _COFACES[n, dim] = _coface_memo(n)
+    masks, cofaces = memo
     x = reduce(xor, map(masks.__getitem__, a.support), 0)
-    return Cochain._built(n, dim + 1, frozenset(map(faces.__getitem__, _bits(x))))
+    return Cochain._built(n, dim + 1, frozenset(map(cofaces.__getitem__, _bits(x))))
 
 
 @lru_cache(maxsize=None)
@@ -266,10 +256,11 @@ def _cut_plans(seq: tuple[int, ...], dims: tuple[int, ...], m: int):
 def _evaluate(surjs, cochains, faces) -> set:
     """The faces on which an odd number of the surjections' cut plans pass.
 
-    The faces share one dimension m.  A cut plan on m-faces becomes its
-    sorted set of tests (slot, positions): a face passes a test when its
-    vertices at those positions form a face in the support of the
-    cochain in that slot, and passes the plan when it passes every test.
+    The faces, at least one, share one dimension m.  A cut plan on
+    m-faces becomes its sorted set of tests (slot, positions): a face
+    passes a test when its vertices at those positions form a face in
+    the support of the cochain in that slot, and passes the plan when it
+    passes every test.
     The slot of a cochain is the first one that holds the same object,
     so the plans of (a, a, b, b) or of a cup of a with itself test each
     support under one name, and a repeated test is made once.  Each
@@ -282,8 +273,6 @@ def _evaluate(surjs, cochains, faces) -> set:
     vertex rather than a 1-tuple, which happens exactly for dimension-0
     cochains, so their support is keyed by vertex.
     """
-    if not faces:
-        return set()
     dims = tuple(c.dim for c in cochains)
     ids = [id(c) for c in cochains]
     slots = [ids.index(x) for x in ids]
@@ -361,26 +350,27 @@ def square_surjections(i: int) -> tuple:
                         for j in range(i + 1)))
 
 
-def _act_cochain(surjs, cochains, n: int, dim: int) -> Cochain:
-    """Sum of the surjections acting on cochains of the n-simplex, as a dim-cochain.
+def _act_cochain(words, i: int, cochains, dim: int) -> Cochain:
+    """Sum of the surjections `words(i)` acting on cochains of one simplex, as a dim-cochain.
 
-    The action is multilinear, so a zero input gives zero without a face scanned.
+    The one entry for every action: it rejects cochains of different
+    simplices, returns zero before `words(i)` is built when the simplex
+    has no dim-face, and before any face is listed when an operand is
+    zero, since the action is multilinear.
     """
-    faces = faces_of_dim(n, dim) if all(c.support for c in cochains) else ()
-    return Cochain._built(n, dim, frozenset(_evaluate(surjs, cochains, faces)))
+    n = cochains[0].ambient
+    if any(c.ambient != n for c in cochains):
+        raise ValueError("cochains live on different simplices")
+    if not 0 <= dim <= n or not all(c.support for c in cochains):
+        return Cochain._built(n, dim, frozenset())
+    return Cochain._built(n, dim, frozenset(_evaluate(words(i), cochains, faces_of_dim(n, dim))))
 
 
 def cup(i: int, a: Cochain, b: Cochain) -> Cochain:
     """Cup-i product of two cochains on the same simplex."""
     if i < 0:
         raise ValueError("cup index must be nonnegative")
-    if a.ambient != b.ambient:
-        raise ValueError("cochains live on different simplices")
-    dim = a.dim + b.dim - i
-    if not 0 <= dim <= a.ambient:
-        # no face to evaluate on: return before building and caching a word of i + 2 letters
-        return Cochain._built(a.ambient, dim, frozenset())
-    return _act_cochain(cup_surjections(i), (a, b), a.ambient, dim)
+    return _act_cochain(cup_surjections, i, (a, b), a.dim + b.dim - i)
 
 
 def steenrod_square(k: int, a: Cochain) -> Cochain:
@@ -399,13 +389,7 @@ def cartan_coboundary(i: int, a: Cochain, b: Cochain) -> Cochain:
     """
     if i < 0:
         raise ValueError("witness index must be nonnegative")
-    if a.ambient != b.ambient:
-        raise ValueError("cochains live on different simplices")
-    dim = 2 * a.dim + 2 * b.dim - i - 1
-    if not 0 <= dim <= a.ambient:
-        # no face to evaluate on: return before listing ~i^2/4 witness words for a huge i
-        return Cochain._built(a.ambient, dim, frozenset())
-    return _act_cochain(witness_surjections(i), (a, a, b, b), a.ambient, dim)
+    return _act_cochain(witness_surjections, i, (a, a, b, b), 2 * a.dim + 2 * b.dim - i - 1)
 
 
 def cartan_defect(i: int, a: Cochain, b: Cochain) -> Cochain:
@@ -418,7 +402,4 @@ def cartan_defect(i: int, a: Cochain, b: Cochain) -> Cochain:
         raise ValueError("inputs must be cocycles")
     ab = cup(0, a, b)
     out = delta(cartan_coboundary(i, a, b)) + cup(i, ab, ab)
-    if not 0 <= out.dim <= a.ambient:
-        # no face to evaluate on: return before listing i + 1 words of length i + 4
-        return out
-    return out + _act_cochain(square_surjections(i), (a, a, b, b), a.ambient, out.dim)
+    return out + _act_cochain(square_surjections, i, (a, a, b, b), out.dim)

@@ -301,6 +301,38 @@ def test_verify_cartan_vacuous(capsys):
     assert json.loads(out)["failures"] == []
 
 
+def test_verify_cartan_refuses_dims_the_sweep_never_samples(capsys):
+    # the sweep's cochains have dimension below max(n, 1), so --dim 9 9 at n = 3 tests nothing
+    for n, dims in ((3, ("9", "9")), (3, ("0", "3")), (0, ("1", "0"))):
+        assert cli.main(["verify", "--i", "0", "--n", str(n), "--dim", *dims, "--trials", "5"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: verify cartan caps --dim at {max(n, 1) - 1}\n"
+    for n, dims in ((3, ("2", "2")), (0, ("0", "0"))):
+        rc, out = run(capsys, "verify", "--i", "0", "--n", str(n), "--dim", *dims, "--trials", "5")
+        assert rc == 0 and json.loads(out)["params"] == {"dims": [int(d) for d in dims]}
+
+
+def test_verify_cartan_caps_trials_times_faces(capsys, monkeypatch):
+    message = "error: verify cartan caps --trials x C(n+1, (n+1)//2) at {}\n"
+    # the default 100 trials run at the default ambient cap
+    rc, out = run(capsys, "verify", "--i", "0", "--n", str(cli.DEFAULT_MAX_N))
+    assert rc == 0 and json.loads(out)["trials"] == 100
+    # one trial past the cap at the largest ambient is refused before any work
+    monkeypatch.setenv("CARTAN_MAX_N", str(cli.MAX_AMBIENT_CAP))
+    n = cli.MAX_AMBIENT_CAP
+    over = cli.MAX_SWEEP_COST // comb(n + 1, (n + 1) // 2) + 1
+    assert cli.main(["verify", "--i", "0", "--n", str(n), "--trials", str(over)]) == 3
+    assert capsys.readouterr().err == message.format(cli.MAX_SWEEP_COST)
+    # at the budget and one past it, on a budget small enough to run
+    monkeypatch.setattr(cli, "MAX_SWEEP_COST", 4 * comb(7, 3))
+    rc, out = run(capsys, "verify", "--i", "0", "--n", "6", "--trials", "4")
+    assert rc == 0 and json.loads(out)["trials"] == 4
+    assert cli.main(["verify", "--i", "0", "--n", "6", "--trials", "5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == message.format(4 * comb(7, 3))
+
+
 def test_verify_respects_the_cap(capsys, monkeypatch):
     assert cli.main(["verify", "--i", "0", "--n", "7", "--trials", "1"]) == 3
     capsys.readouterr()

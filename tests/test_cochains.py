@@ -186,6 +186,18 @@ def test_cup_shape_handling():
         cup(0, a, Cochain(3, 1, [(0, 1)]))
 
 
+def test_witness_and_defect_reject_different_ambients():
+    # the ambient check runs before the returns for a zero operand and for an empty dimension
+    a, b = delta(Cochain(3, 0, [(0,)])), delta(Cochain(4, 0, [(1,)]))
+    for x, y in ((a, b), (b, a), (a, Cochain(4, 1)), (Cochain(3, 1), b),
+                 (Cochain(3, 1), Cochain(4, 1))):
+        for i in (0, 1, 50):
+            with pytest.raises(ValueError, match="different simplices"):
+                cartan_coboundary(i, x, y)
+            with pytest.raises(ValueError, match="different simplices"):
+                cartan_defect(i, x, y)
+
+
 def test_cup_out_of_range_builds_no_word():
     # an output dimension outside [0, n] returns before the i + 2 letter word is built and cached
     a = delta(Cochain(2, 0, [(0,)]))

@@ -122,6 +122,19 @@ def test_delta_matches_the_reference_along_a_sequence(seq):
         assert delta(a) == delta_reference(a)
 
 
+def test_delta_memo_fills_on_first_use(monkeypatch):
+    # one mask per support face met and at most n - d cofaces each, not a whole (16, d) table
+    monkeypatch.setattr(cartan.cochains, "_COFACES", {})
+    rng = random.Random(5)
+    n = 16
+    for d in (0, 4, 8, 15):
+        a = make_cochain(rng, n, d, "sparse")
+        assert delta(a) == delta_reference(a)
+        masks, cofaces = cartan.cochains._COFACES[n, d]
+        assert len(masks) == len(a.support)
+        assert len(cofaces) <= len(a.support) * (n - d)
+
+
 @settings(deadline=None, max_examples=30)
 @given(st.integers(10, 12), st.data())
 def test_delta_squares_to_zero_on_large_simplices(n, data):
@@ -219,15 +232,14 @@ def test_one_object_in_several_slots_acts_as_equal_copies(iab):
     # the evaluator shares the tests of slots that hold one object; equal but
     # distinct copies share nothing, so both must give the same cochain
     i, a, b = iab
-    n = a.ambient
     assert cup(i, a, a) == cup(i, a, copy(a))
     dim = 2 * a.dim + 2 * b.dim - i - 1
     assert cartan_coboundary(i, a, b) == _act_cochain(
-        witness_surjections(i), (a, copy(a), b, copy(b)), n, dim)
+        witness_surjections, i, (a, copy(a), b, copy(b)), dim)
     assert cartan_coboundary(i, a, a) == _act_cochain(
-        witness_surjections(i), (a, copy(a), copy(a), copy(a)), n, 4 * a.dim - i - 1)
-    assert _act_cochain(square_surjections(i), (a, a, b, b), n, dim + 1) == _act_cochain(
-        square_surjections(i), (a, copy(a), b, copy(b)), n, dim + 1)
+        witness_surjections, i, (a, copy(a), copy(a), copy(a)), 4 * a.dim - i - 1)
+    assert _act_cochain(square_surjections, i, (a, a, b, b), dim + 1) == _act_cochain(
+        square_surjections, i, (a, copy(a), b, copy(b)), dim + 1)
 
 
 @st.composite
@@ -263,8 +275,7 @@ def square_inputs(draw):
 @given(square_inputs())
 def test_product_of_squares_matches_the_literal_sum(iab):
     i, a, b = iab
-    got = _act_cochain(square_surjections(i), (a, a, b, b), a.ambient,
-                       2 * a.dim + 2 * b.dim - i)
+    got = _act_cochain(square_surjections, i, (a, a, b, b), 2 * a.dim + 2 * b.dim - i)
     assert got == squares_reference(i, a, b)
 
 
@@ -280,5 +291,5 @@ def test_zero_input_scans_no_face(monkeypatch):
         for x, y in ((a, zero), (zero, a), (zero, zero)):
             assert cup(i, x, y) == Cochain(6, 2 - i)
             assert cartan_coboundary(i, x, y) == Cochain(6, 3 - i)
-            assert _act_cochain(square_surjections(i), (x, x, y, y), 6, 4 - i) == (
+            assert _act_cochain(square_surjections, i, (x, x, y, y), 4 - i) == (
                 Cochain(6, 4 - i))
