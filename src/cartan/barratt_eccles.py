@@ -1,29 +1,31 @@
-"""The Barratt-Eccles operad in chains over GF(2), and the Cartan homotopies.
+"""The Barratt-Eccles operad in chains over GF(2), from arity 2 to arity 4.
 
 A permutation is a one-line tuple (s(1), ..., s(r)) over {1, ..., r};
-`compose_perm(s, t)` applies t first, then s.  An arity-r basis element
-of degree n is a tuple of n+1 permutations of r letters with distinct
-neighbours; such tuples are simplices of the nerve of the chaotic
-groupoid on the symmetric group, so the generic machinery from
-`simplicial` applies unchanged.
+`compose_perm(s, t)` applies t first, then s.  An arity-2 basis element
+of degree n is a tuple of n+1 permutations of two letters with distinct
+neighbours, so it alternates the identity and the swap; such tuples are
+simplices of the nerve of the chaotic groupoid on the symmetric group,
+so the generic machinery from `simplicial` applies unchanged.
 
-Operadic composition shuffles the inputs into one product simplex with
-`ez` (right-associated) and then block-composes the labels.  On top of
-that sit the two explicit degree +1 homotopies combined by
-`cartan_homotopy`, whose boundary is the difference between "square the
-product" and "multiply the squares" at arity 4.
+The Cartan construction only ever composes arity 2 with arity 2.
+Composing an arity-2 element with two arity-2 inputs shuffles the three
+into one product simplex with `ez` and sends each label (sigma, (a, b))
+to the arity-4 permutation `block_compose(sigma, a, b)`.  On top of that
+sit the two explicit degree +1 homotopies combined by `cartan_homotopy`,
+whose boundary is the difference between "square the product" and
+"multiply the squares" at arity 4.  `block_compose` refuses any
+permutation that is not of arity 2 with ValueError, so every arity-4
+term built here comes from arity-2 labels.
 """
 
 from __future__ import annotations
 
-from itertools import product as iterproduct
-
 from .f2 import F2Sum, singleton
 from .simplicial import aw, ez, is_degenerate, product, shih
 
-
-def identity_perm(r: int) -> tuple[int, ...]:
-    return tuple(range(1, r + 1))
+ID2 = (1, 2)
+SWAP2 = (2, 1)
+MID_SWAP4 = (1, 3, 2, 4)
 
 
 def compose_perm(s: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:
@@ -33,47 +35,18 @@ def compose_perm(s: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(s[v - 1] for v in t)
 
 
-def transposition(r: int, a: int, b: int) -> tuple[int, ...]:
-    """The transposition (a b) in one-line notation on r letters."""
-    if not (1 <= a <= r and 1 <= b <= r) or a == b:
-        raise ValueError(f"({a} {b}) is not a transposition on {r} letters")
-    out = list(range(1, r + 1))
-    out[a - 1], out[b - 1] = b, a
-    return tuple(out)
+def block_compose(sigma: tuple[int, ...], a: tuple[int, ...],
+                  b: tuple[int, ...]) -> tuple[int, ...]:
+    """S2 wr S2 -> S4: a acts on the block {1,2}, b on {3,4}, then sigma permutes the blocks.
 
-
-ID2 = identity_perm(2)
-SWAP2 = transposition(2, 1, 2)
-MID_SWAP4 = transposition(4, 2, 3)
-
-
-def block_compose(sigma: tuple[int, ...], taus) -> tuple[int, ...]:
-    """Compose permutations in blocks: sigma permutes the blocks, tau_i acts inside block i.
-
-    Block i (of size len(taus[i])) is sent to the slot sigma(i) counted in
-    the output, so e.g. block_compose((2,1), (ID2, ID2)) swaps {1,2} with {3,4}.
+    The identity sigma gives a + (b + 2); the swap gives (a + 2) + b, so
+    e.g. block_compose(SWAP2, ID2, ID2) swaps {1,2} with {3,4}.
     """
-    r = len(sigma)
-    if r != len(taus):
-        raise ValueError("arity mismatch between sigma and the block list")
-    sizes = [len(t) for t in taus]
-    slot_sizes = [0] * r
-    for i in range(r):
-        slot_sizes[sigma[i] - 1] = sizes[i]
-    out_off = [0] * r
-    acc = 0
-    for t in range(r):
-        out_off[t] = acc
-        acc += slot_sizes[t]
-    out = [0] * sum(sizes)
-    pos = 0
-    for i in range(r):
-        base = out_off[sigma[i] - 1]
-        tau = taus[i]
-        for j in range(sizes[i]):
-            out[pos + j] = base + tau[j]
-        pos += sizes[i]
-    return tuple(out)
+    if len(a) != 2 or len(b) != 2 or sigma not in (ID2, SWAP2):
+        raise ValueError("block_compose takes arity-2 permutations only")
+    if sigma == ID2:
+        return a + (b[0] + 2, b[1] + 2)
+    return (a[0] + 2, a[1] + 2) + b
 
 
 def sigma_act(sigma: tuple[int, ...], c: F2Sum) -> F2Sum:
@@ -95,38 +68,21 @@ def nerve_map(fn, c: F2Sum) -> F2Sum:
     return F2Sum(t for t in images if not is_degenerate(t))
 
 
-def be_compose(e: tuple, *inputs: F2Sum) -> F2Sum:
-    """Operadic composition of a basis element with one sum per input slot.
+def be_compose(e: tuple, x: F2Sum, y: F2Sum) -> F2Sum:
+    """Operadic composition e o (x, y) of an arity-2 element with two arity-2 sums.
 
-    Shuffles e with the inputs into product simplices (ez applied
-    right-to-left) and block-composes the resulting label tuples;
-    multilinear in the input slots.
+    Shuffles x with y, then e with the result, into product simplices
+    (ez twice) and block-composes each label (sigma, (a, b)); bilinear in
+    x and y.
     """
-    r = len(e[0])
-    if len(inputs) != r:
-        raise ValueError(f"arity {r} element needs {r} inputs, got {len(inputs)}")
 
     def composites():
-        for combo in iterproduct(*(tuple(s) for s in inputs)):
-            prod = singleton(combo[-1])
-            for x in list(combo[:-1])[::-1] + [e]:
-                prod = ez(F2Sum((x, t) for t in prod))
-            for z in prod:
-                w = tuple(_block_label(lab, r) for lab in z)
-                if not is_degenerate(w):
-                    yield w
+        inner = ez(F2Sum((a, b) for a in x for b in y))
+        for z in ez(F2Sum((e, t) for t in inner)):
+            w = tuple(block_compose(sigma, a, b) for sigma, (a, b) in z)
+            if not is_degenerate(w):
+                yield w
     return F2Sum(composites())
-
-
-def _block_label(label, r):
-    # label is (sigma, (tau_1, (tau_2, ...))) nested to r input labels
-    sigma, rest = label
-    taus = []
-    for _ in range(r - 1):
-        t, rest = rest
-        taus.append(t)
-    taus.append(rest)
-    return block_compose(sigma, taus)
 
 
 def cup_generator(i: int) -> tuple:
@@ -138,12 +94,12 @@ def cup_generator(i: int) -> tuple:
 
 def outer_embed(sigma: tuple[int, ...]) -> tuple[int, ...]:
     """Arity 2 -> 4: sigma permutes the two blocks {1,2} and {3,4}."""
-    return block_compose(sigma, (ID2, ID2))
+    return block_compose(sigma, ID2, ID2)
 
 
 def diag_embed(sigma: tuple[int, ...]) -> tuple[int, ...]:
     """Arity 2 -> 4: sigma acts inside both blocks simultaneously."""
-    return block_compose(ID2, (sigma, sigma))
+    return block_compose(ID2, sigma, sigma)
 
 
 def squared_product(c: F2Sum) -> F2Sum:
@@ -157,22 +113,17 @@ def squared_product(c: F2Sum) -> F2Sum:
 
 
 def product_of_squares(c: F2Sum) -> F2Sum:
-    """Split an arity-2 element diagonally with aw, then recompose both halves.
+    """Split the doubled element (e, e) with aw, then recompose both halves.
 
     This is how "product of the squares" acts at arity 4.
     """
     unit = cup_generator(0)
 
     def per_basis(e):
-        for xf, yb in aw_double(e):
+        for xf, yb in aw(singleton(product(e, e))):
             yield from be_compose(unit, singleton(xf), singleton(yb))
 
     return c.map_basis(per_basis)
-
-
-def aw_double(e: tuple) -> F2Sum:
-    """Alexander-Whitney splitting of the doubled element (e, e)."""
-    return aw(singleton(product(e, e)))
 
 
 def embedding_homotopy(c: F2Sum) -> F2Sum:
@@ -202,7 +153,7 @@ def diagonal_homotopy(c: F2Sum) -> F2Sum:
 
     def per_basis(e):
         for z in shih(singleton(product(e, e))):
-            w = tuple(block_compose(ID2, (a, b)) for a, b in z)
+            w = tuple(block_compose(ID2, a, b) for a, b in z)
             if not is_degenerate(w):
                 yield w
 

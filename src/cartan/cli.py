@@ -78,6 +78,8 @@ def max_ambient() -> int:
         cap = int(raw)
     except ValueError:
         raise CliError(PARSE, f"CARTAN_MAX_N must be an integer, not {raw!r}") from None
+    if cap < 0:
+        raise CliError(PARSE, f"CARTAN_MAX_N must be nonnegative, not {raw!r}")
     if cap > MAX_AMBIENT_CAP:
         raise CliError(PARSE, f"CARTAN_MAX_N must be at most {MAX_AMBIENT_CAP}, not {raw!r}")
     return cap
@@ -150,7 +152,8 @@ def parse_perm_tuple(data) -> tuple:
         raise CliError(PARSE, "expected a nonempty list of permutations")
     perms = []
     for p in data:
-        if not isinstance(p, list) or any(not isinstance(v, int) for v in p):
+        if not isinstance(p, list) or any(
+                not isinstance(v, int) or isinstance(v, bool) for v in p):
             raise CliError(PARSE, f"not a permutation: {p!r}")
         perms.append(tuple(p))
     r = len(perms[0])
@@ -180,7 +183,7 @@ def parse_surjection(text: str) -> tuple[int, ...]:
     except json.JSONDecodeError:
         raise CliError(PARSE, f"not a JSON array: {text!r}") from None
     if (not isinstance(data, list) or not data
-            or any(not isinstance(v, int) for v in data)):
+            or any(not isinstance(v, int) or isinstance(v, bool) for v in data)):
         raise CliError(PARSE, f"expected a nonempty array of integers: {text!r}")
     seq = tuple(data)
     if min(seq) < 1 or not is_basis_surjection(seq, max(seq)):

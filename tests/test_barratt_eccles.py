@@ -1,18 +1,19 @@
 """Permutation calculus and the arity-4 homotopies built from the two embeddings."""
 
+from itertools import product as product_of
+
 import pytest
 
 from cartan.barratt_eccles import (ID2, MID_SWAP4, SWAP2, be_compose,
                                    block_compose, cartan_homotopy,
                                    compose_perm, cup_generator, diag_embed,
                                    diagonal_homotopy, embedding_homotopy,
-                                   identity_perm, nerve_map, outer_embed,
-                                   product_of_squares, sigma_act,
-                                   squared_product, transposition)
+                                   nerve_map, outer_embed, product_of_squares,
+                                   sigma_act, squared_product)
 from cartan.f2 import F2Sum, ZERO, hom_boundary, singleton
 from cartan.simplicial import aw, boundary, product
 
-E4 = identity_perm(4)
+E4 = (1, 2, 3, 4)
 P23 = (1, 3, 2, 4)
 P12_34 = (2, 1, 4, 3)
 P34 = (1, 2, 4, 3)
@@ -25,20 +26,32 @@ def test_compose_applies_the_right_factor_first():
     chain = compose_perm(P23, compose_perm((3, 2, 1, 4), (1, 4, 3, 2)))
     assert chain == (2, 4, 1, 3)
     assert compose_perm(SWAP2, SWAP2) == ID2
-
-
-def test_perm_constructors():
-    assert identity_perm(3) == (1, 2, 3)
-    assert transposition(4, 2, 3) == P23 == MID_SWAP4
-    with pytest.raises(ValueError):
-        transposition(2, 1, 3)
+    assert MID_SWAP4 == P23
 
 
 def test_block_compose_vectors():
-    assert block_compose(SWAP2, (ID2, ID2)) == (3, 4, 1, 2)
-    assert block_compose(ID2, (SWAP2, SWAP2)) == P12_34
-    assert block_compose(ID2, ((1, 2, 3), SWAP2)) == (1, 2, 3, 5, 4)
-    assert block_compose((2, 1, 3), ((1,), (2, 1), (1,))) == (3, 2, 1, 4)
+    assert block_compose(SWAP2, ID2, ID2) == (3, 4, 1, 2)
+    assert block_compose(ID2, SWAP2, SWAP2) == P12_34
+
+
+def test_block_compose_is_the_wreath_product():
+    s2 = (ID2, SWAP2)
+    images = set()
+    for sigma, a, b in product_of(s2, s2, s2):
+        w = block_compose(sigma, a, b)
+        images.add(w)
+        # the blocks act inside {1,2} and {3,4}, then sigma moves the blocks
+        assert w == compose_perm(outer_embed(sigma), block_compose(ID2, a, b))
+        # and the two blocks act independently
+        assert block_compose(ID2, a, b) == compose_perm(block_compose(ID2, a, ID2),
+                                                        block_compose(ID2, ID2, b))
+        # every image keeps the partition {{1,2}, {3,4}}
+        assert {w[0], w[1]} in ({1, 2}, {3, 4})
+    # S2 wr S2 is the order-8 subgroup of S4 keeping {{1,2}, {3,4}}
+    assert len(images) == 8
+    for embed in (outer_embed, diag_embed):
+        for s, t in product_of(s2, s2):
+            assert embed(compose_perm(s, t)) == compose_perm(embed(s), embed(t))
 
 
 def test_embeddings():
@@ -135,3 +148,22 @@ def test_homotopy_equivariance_small():
         flipped = sigma_act(SWAP2, c)
         assert embedding_homotopy(flipped) == sigma_act(twist, embedding_homotopy(c))
         assert diagonal_homotopy(flipped) == sigma_act(twist, diagonal_homotopy(c))
+
+
+def test_arity_other_than_two_is_refused():
+    e3 = ((1, 2, 3), (2, 1, 3))
+    c3 = singleton(e3)
+    unit = singleton(cup_generator(0))
+    for embed in (outer_embed, diag_embed):
+        with pytest.raises(ValueError):
+            embed((1, 2, 3))
+    with pytest.raises(ValueError):
+        block_compose(ID2, ID2, (1, 2, 3))
+    with pytest.raises(ValueError):
+        be_compose(e3, unit, unit)
+    with pytest.raises(ValueError):
+        be_compose(cup_generator(1), c3, unit)
+    for fn in (squared_product, product_of_squares, embedding_homotopy,
+               diagonal_homotopy, cartan_homotopy):
+        with pytest.raises(ValueError):
+            fn(c3)

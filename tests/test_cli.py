@@ -202,6 +202,12 @@ def test_ambient_cap(capsys, cochain_file, monkeypatch):
     monkeypatch.setenv("CARTAN_MAX_N", "x")
     rc, _ = run(capsys, "cup", "--i", "0", alpha, alpha)
     assert rc == 2
+    # a negative cap is a malformed setting, not a shape every cochain fails
+    monkeypatch.setenv("CARTAN_MAX_N", "-1")
+    for argv in (("cup", "--i", "0", alpha, alpha), ("verify", "--i", "0", "--n", "0")):
+        assert cli.main(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "nonnegative" in captured.err
 
 
 def test_ambient_cap_has_an_upper_bound(capsys, cochain_file, monkeypatch):
@@ -253,6 +259,17 @@ def test_surj_compose_errors(capsys):
     assert rc == 3
     rc, _ = run(capsys, "surj-compose", "[1,1]", "1", "[1,2]")
     assert rc == 2
+
+
+def test_tr_and_surj_compose_refuse_booleans(capsys, tmp_path):
+    # JSON true is not the integer 1
+    path = tmp_path / "e.json"
+    path.write_text("[[true,2],[2,1]]")
+    for argv in (("tr", str(path)), ("tr", str(path), "--json"),
+                 ("surj-compose", "[true,2,1]", "1", "[1,2]"),
+                 ("surj-compose", "[1,2,1]", "1", "[true,2]")):
+        rc, out = run(capsys, *argv)
+        assert rc == 2 and out == ""
 
 
 def test_tr_and_surj_compose_cap_the_values_they_read(capsys, tmp_path, monkeypatch):
