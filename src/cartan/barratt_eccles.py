@@ -15,10 +15,13 @@ sit the two explicit degree +1 homotopies combined by `cartan_homotopy`,
 whose boundary is the difference between "square the product" and
 "multiply the squares" at arity 4.  `block_compose` refuses any
 permutation that is not of arity 2 with ValueError, so every arity-4
-term built here comes from arity-2 labels.
+term built here comes from arity-2 labels; `be_compose` and
+`diagonal_homotopy` refuse another arity even where the result is zero.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from .f2 import F2Sum, singleton
 from .simplicial import aw, ez, is_degenerate, product, shih
@@ -49,23 +52,15 @@ def block_compose(sigma: tuple[int, ...], a: tuple[int, ...],
     return (a[0] + 2, a[1] + 2) + b
 
 
-def sigma_act(sigma: tuple[int, ...], c: F2Sum) -> F2Sum:
-    """Left action of a permutation: compose every entry with sigma."""
-
-    def images():
-        for e in c:
-            if len(sigma) != len(e[0]):
-                raise ValueError("arity mismatch between permutation and element")
-            t = tuple(compose_perm(sigma, s) for s in e)
-            if not is_degenerate(t):
-                yield t
-    return F2Sum(images())
-
-
 def nerve_map(fn, c: F2Sum) -> F2Sum:
     """Entry-wise application of a permutation map, normalized."""
     images = (tuple(fn(s) for s in e) for e in c)
     return F2Sum(t for t in images if not is_degenerate(t))
+
+
+def sigma_act(sigma: tuple[int, ...], c: F2Sum) -> F2Sum:
+    """Left action of a permutation: compose every entry with sigma."""
+    return nerve_map(partial(compose_perm, sigma), c)
 
 
 def be_compose(e: tuple, x: F2Sum, y: F2Sum) -> F2Sum:
@@ -75,6 +70,8 @@ def be_compose(e: tuple, x: F2Sum, y: F2Sum) -> F2Sum:
     (ez twice) and block-composes each label (sigma, (a, b)); bilinear in
     x and y.
     """
+    if any(len(s[0]) != 2 for s in (e, *x, *y)):
+        raise ValueError("be_compose takes arity-2 elements only")
 
     def composites():
         inner = ez(F2Sum((a, b) for a in x for b in y))
@@ -152,6 +149,8 @@ def diagonal_homotopy(c: F2Sum) -> F2Sum:
     """
 
     def per_basis(e):
+        if len(e[0]) != 2:
+            raise ValueError("diagonal_homotopy takes arity-2 elements only")
         for z in shih(singleton(product(e, e))):
             w = tuple(block_compose(ID2, a, b) for a, b in z)
             if not is_degenerate(w):

@@ -97,7 +97,7 @@ def read_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise CliError(PARSE, f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise CliError(PARSE, f"{path}: {exc}") from None
 
 
@@ -157,6 +157,8 @@ def parse_perm_tuple(data) -> tuple:
             raise CliError(PARSE, f"not a permutation: {p!r}")
         perms.append(tuple(p))
     r = len(perms[0])
+    if r == 0:
+        raise CliError(PARSE, "a permutation needs at least one value")
     for p in perms:
         if sorted(p) != list(range(1, r + 1)):
             raise CliError(PARSE, f"not a permutation of 1..{r}: {list(p)!r}")
@@ -180,7 +182,7 @@ def cmd_tr(args) -> int:
 def parse_surjection(text: str) -> tuple[int, ...]:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         raise CliError(PARSE, f"not a JSON array: {text!r}") from None
     if (not isinstance(data, list) or not data
             or any(not isinstance(v, int) or isinstance(v, bool) for v in data)):

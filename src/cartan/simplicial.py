@@ -3,10 +3,10 @@
 Every simplicial set used in this package is a nerve, so a simplex of
 degree n is just a tuple of n+1 labels: vertices for the standard
 simplex, permutations for the symmetric-group nerves.  The i-th face
-deletes the i-th label, the i-th degeneracy repeats it, and a simplex is
-degenerate exactly when two neighbouring labels agree.  This makes the
-normal form trivial and reduces the degeneracy-collision test for
-products to "some position repeats in both factors at once".
+deletes the i-th label, and a simplex is degenerate exactly when two
+neighbouring labels agree.  This makes the normal form trivial and
+reduces the degeneracy-collision test for products to "some position
+repeats in both factors at once".
 
 Two different pairings appear:
 
@@ -17,8 +17,9 @@ Two different pairings appear:
 
 The chain-level maps `aw` (Alexander-Whitney), `ez` (Eilenberg-Zilber
 shuffle map) and `shih` (Shih's explicit homotopy) convert between the
-two.  Written composites of face/degeneracy operators apply the
-rightmost operator first; an empty operator range is the identity.
+two; `ez` and `shih` are sums of shuffles.  A shuffle of x with y is the
+product simplex that walks from (x[0], y[0]) to (x[-1], y[-1]),
+advancing exactly one factor by one label at each step.
 """
 
 from __future__ import annotations
@@ -26,13 +27,6 @@ from __future__ import annotations
 from itertools import combinations, combinations_with_replacement
 
 from .f2 import F2Sum
-
-
-def degeneracy(x: tuple, i: int) -> tuple:
-    """Repeat the i-th label."""
-    if not 0 <= i < len(x):
-        raise IndexError(f"degeneracy index {i} out of range for degree {len(x) - 1}")
-    return x[:i + 1] + x[i:]
 
 
 def is_degenerate(x: tuple) -> bool:
@@ -83,65 +77,47 @@ def aw(c: F2Sum) -> F2Sum:
     return F2Sum(splittings())
 
 
+def _shuffles(x: tuple, y: tuple):
+    """Every shuffle of x with y, one per choice of the steps where x advances."""
+    p, q = len(x) - 1, len(y) - 1
+    for advance in combinations(range(p + q), p):
+        i = j = 0
+        z = [(x[0], y[0])]
+        for step in range(p + q):
+            if i < p and advance[i] == step:
+                i += 1
+            else:
+                j += 1
+            z.append((x[i], y[j]))
+        yield tuple(z)
+
+
 def ez(t: F2Sum) -> F2Sum:
     """Eilenberg-Zilber shuffle map, a section of `aw`.
 
-    For x of degree p and y of degree q, sums over the ways to choose the
-    p positions (out of p+q) where the x coordinate advances; x is
-    degenerated at the remaining positions and y at the chosen ones.
+    Sends x (x) y to the sum of the nondegenerate shuffles of x with y.
     """
-
-    def shuffles():
-        for x, y in t:
-            p, q = len(x) - 1, len(y) - 1
-            for advance in combinations(range(p + q), p):
-                chosen = set(advance)
-                xs = x
-                for i in range(p + q):
-                    if i not in chosen:
-                        xs = degeneracy(xs, i)
-                ys = y
-                for i in advance:
-                    ys = degeneracy(ys, i)
-                z = tuple(zip(xs, ys))
-                if not is_degenerate(z):
-                    yield z
-    return F2Sum(shuffles())
+    return F2Sum(z for x, y in t for z in _shuffles(x, y) if not is_degenerate(z))
 
 
 def shih(c: F2Sum) -> F2Sum:
     """Shih's explicit homotopy between ez o aw and the identity on a product.
 
-    Degree +1 operator given by a closed formula: for each (p, q) with
-    p >= 0, q >= 0, p + q < n, truncate the factors, insert one pivot
-    degeneracy at m - 1 = n - p - q - 1, and distribute the remaining
-    degeneracy indices m..p+q+m over the two factors in all ways.
+    Degree +1 operator given by a closed formula: a product simplex z of
+    degree n with factors x and y goes to the sum, over p, q >= 0 with
+    p + q < n and m = n - p - q, of the first m labels of z followed by
+    each shuffle of x[m-1 .. n-p] with y[n-p .. n], if nondegenerate.
     """
 
     def terms():
         for z in c:
             n = len(z) - 1
-            if n == 0:
-                continue
             xs, ys = factors(z)
             for p in range(n):
-                for q in range(n - p):
-                    m = n - p - q
-                    xbase = degeneracy(xs[:n - p + 1], m - 1)
-                    ybase = ys[:n - p - q] + ys[n - p:]
-                    for vset in combinations(range(p + q + 1), p):
-                        taken = set(vset)
-                        xpart = xbase
-                        for v in vset:
-                            xpart = degeneracy(xpart, v + m)
-                        ypart = ybase
-                        for w in range(p + q + 1):
-                            if w not in taken:
-                                ypart = degeneracy(ypart, w + m)
-                        znew = tuple(zip(xpart, ypart))
-                        if not is_degenerate(znew):
-                            yield znew
-    return F2Sum(terms())
+                for m in range(1, n - p + 1):  # q = n - p - m runs from n - p - 1 down to 0
+                    for tail in _shuffles(xs[m - 1:n - p + 1], ys[n - p:]):
+                        yield z[:m] + tail
+    return F2Sum(w for w in terms() if not is_degenerate(w))
 
 
 # --- the standard n-simplex ---

@@ -13,6 +13,9 @@ whole cup products: they share `cup`, which the tests check against
 `act_reference`, and check the arity-4 words that `cartan_defect`
 evaluates in place of the product of squares.  `cup_i_reference`, the
 closed cup-i formula, uses neither the cut plans nor the evaluator.
+`ez_reference` and `shih_reference` build every shuffle by applying
+degeneracy operators one index at a time, where the package walks its
+shuffles directly.
 """
 
 from collections import Counter
@@ -21,7 +24,7 @@ from itertools import chain, combinations, combinations_with_replacement
 from cartan.cochains import (Cochain, _cut_plans, cartan_coboundary, cup, delta,
                              witness_surjections)
 from cartan.f2 import F2Sum
-from cartan.simplicial import faces_of_dim, is_degenerate
+from cartan.simplicial import factors, faces_of_dim, is_degenerate
 
 
 def odd_terms(terms) -> frozenset:
@@ -55,6 +58,74 @@ def tensor_boundary(t: F2Sum) -> F2Sum:
                         yield x, yf
 
     return F2Sum(odd_terms(faces()))
+
+
+def degeneracy(x: tuple, i: int) -> tuple:
+    """Repeat the i-th label."""
+    if not 0 <= i < len(x):
+        raise IndexError(f"degeneracy index {i} out of range for degree {len(x) - 1}")
+    return x[:i + 1] + x[i:]
+
+
+def ez_reference(t: F2Sum) -> F2Sum:
+    """Eilenberg-Zilber shuffle map, each shuffle built from degeneracies.
+
+    For x of degree p and y of degree q, sums over the ways to choose the
+    p positions (out of p+q) where the x coordinate advances; x is
+    degenerated at the remaining positions and y at the chosen ones.
+    """
+
+    def shuffles():
+        for x, y in t:
+            p, q = len(x) - 1, len(y) - 1
+            for advance in combinations(range(p + q), p):
+                chosen = set(advance)
+                xs = x
+                for i in range(p + q):
+                    if i not in chosen:
+                        xs = degeneracy(xs, i)
+                ys = y
+                for i in advance:
+                    ys = degeneracy(ys, i)
+                z = tuple(zip(xs, ys))
+                if not is_degenerate(z):
+                    yield z
+    return F2Sum(odd_terms(shuffles()))
+
+
+def shih_reference(c: F2Sum) -> F2Sum:
+    """Shih's homotopy, each term built from degeneracies.
+
+    For each (p, q) with p >= 0, q >= 0, p + q < n, truncate the factors,
+    insert one pivot degeneracy at m - 1 = n - p - q - 1, and distribute
+    the remaining degeneracy indices m..p+q+m over the two factors in all
+    ways.
+    """
+
+    def terms():
+        for z in c:
+            n = len(z) - 1
+            if n == 0:
+                continue
+            xs, ys = factors(z)
+            for p in range(n):
+                for q in range(n - p):
+                    m = n - p - q
+                    xbase = degeneracy(xs[:n - p + 1], m - 1)
+                    ybase = ys[:n - p - q] + ys[n - p:]
+                    for vset in combinations(range(p + q + 1), p):
+                        taken = set(vset)
+                        xpart = xbase
+                        for v in vset:
+                            xpart = degeneracy(xpart, v + m)
+                        ypart = ybase
+                        for w in range(p + q + 1):
+                            if w not in taken:
+                                ypart = degeneracy(ypart, w + m)
+                        znew = tuple(zip(xpart, ypart))
+                        if not is_degenerate(znew):
+                            yield znew
+    return F2Sum(odd_terms(terms()))
 
 
 def compositions(total: int, parts: int):

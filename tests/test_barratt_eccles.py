@@ -163,6 +163,11 @@ def test_arity_other_than_two_is_refused():
         be_compose(e3, unit, unit)
     with pytest.raises(ValueError):
         be_compose(cup_generator(1), c3, unit)
+    # zero results: the arity is refused before any label reaches block_compose
+    with pytest.raises(ValueError):
+        be_compose(e3, F2Sum(), singleton((ID2,)))
+    with pytest.raises(ValueError):
+        diagonal_homotopy(singleton(((1, 2, 3),)))
     for fn in (squared_product, product_of_squares, embedding_homotopy,
                diagonal_homotopy, cartan_homotopy):
         with pytest.raises(ValueError):

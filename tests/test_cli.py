@@ -89,10 +89,23 @@ def test_mismatched_operands(capsys, cochain_file):
 
 
 def test_bad_json_file(capsys, tmp_path):
-    path = tmp_path / "junk.json"
-    path.write_text("not json")
-    rc, _ = run(capsys, "cup", "--i", "0", str(path), str(path))
-    assert rc == 2
+    # junk, nesting past the JSON decoder's recursion limit (in a file or in argv) and
+    # bytes that are not UTF-8 are all malformed input
+    junk = tmp_path / "junk.json"
+    junk.write_text("not json")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe")
+    for argv in (("cup", "--i", "0", str(junk), str(junk)),
+                 ("tr", str(deep)), ("cup", "--i", "0", str(deep), str(deep)),
+                 ("tr", str(binary)), ("cup", "--i", "0", str(binary), str(binary)),
+                 ("surj-compose", "[" * 20_000 + "]" * 20_000, "1", "[1,2]")):
+        rc = cli.main(list(argv))
+        captured = capsys.readouterr()
+        case = (argv[0], argv[-1][-12:])
+        assert rc == 2 and captured.out == "", case
+        assert captured.err.startswith("error: "), case
 
 
 def test_boolean_and_negative_fields_exit_two(capsys, tmp_path):
@@ -246,6 +259,15 @@ def test_tr_degenerate_input_is_zero(capsys, tmp_path):
     path.write_text("[[1,2],[1,2]]")
     rc, out = run(capsys, "tr", str(path))
     assert rc == 0 and out.strip() == "0"
+
+
+def test_tr_refuses_empty_permutations(capsys, tmp_path):
+    path = tmp_path / "e.json"
+    for doc in ("[[]]", "[[],[],[]]"):
+        path.write_text(doc)
+        rc = cli.main(["tr", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == "" and captured.err.startswith("error: "), doc
 
 
 def test_surj_compose_golden(capsys):
