@@ -22,7 +22,7 @@ import os
 import sys
 from math import comb
 
-from .cochains import (Cochain, cartan_coboundary, cartan_defect, cup, delta,
+from .cochains import (Cochain, brief, cartan_coboundary, cartan_defect, cup, delta,
                        steenrod_square)
 from .f2 import F2Sum, singleton
 from .simplicial import is_degenerate
@@ -77,11 +77,11 @@ def max_ambient() -> int:
     try:
         cap = int(raw)
     except ValueError:
-        raise CliError(PARSE, f"CARTAN_MAX_N must be an integer, not {raw!r}") from None
+        raise CliError(PARSE, f"CARTAN_MAX_N must be an integer, not {brief(raw)}") from None
     if cap < 0:
-        raise CliError(PARSE, f"CARTAN_MAX_N must be nonnegative, not {raw!r}")
+        raise CliError(PARSE, f"CARTAN_MAX_N must be nonnegative, not {brief(raw)}")
     if cap > MAX_AMBIENT_CAP:
-        raise CliError(PARSE, f"CARTAN_MAX_N must be at most {MAX_AMBIENT_CAP}, not {raw!r}")
+        raise CliError(PARSE, f"CARTAN_MAX_N must be at most {MAX_AMBIENT_CAP}, not {brief(raw)}")
     return cap
 
 
@@ -154,14 +154,14 @@ def parse_perm_tuple(data) -> tuple:
     for p in data:
         if not isinstance(p, list) or any(
                 not isinstance(v, int) or isinstance(v, bool) for v in p):
-            raise CliError(PARSE, f"not a permutation: {p!r}")
+            raise CliError(PARSE, f"not a permutation: {brief(p)}")
         perms.append(tuple(p))
     r = len(perms[0])
     if r == 0:
         raise CliError(PARSE, "a permutation needs at least one value")
     for p in perms:
         if sorted(p) != list(range(1, r + 1)):
-            raise CliError(PARSE, f"not a permutation of 1..{r}: {list(p)!r}")
+            raise CliError(PARSE, f"not a permutation of 1..{r}: {brief(list(p))}")
     return tuple(perms)
 
 
@@ -183,13 +183,13 @@ def parse_surjection(text: str) -> tuple[int, ...]:
     try:
         data = json.loads(text)
     except (json.JSONDecodeError, RecursionError):
-        raise CliError(PARSE, f"not a JSON array: {text!r}") from None
+        raise CliError(PARSE, f"not a JSON array: {brief(text)}") from None
     if (not isinstance(data, list) or not data
             or any(not isinstance(v, int) or isinstance(v, bool) for v in data)):
-        raise CliError(PARSE, f"expected a nonempty array of integers: {text!r}")
+        raise CliError(PARSE, f"expected a nonempty array of integers: {brief(text)}")
     seq = tuple(data)
     if min(seq) < 1 or not is_basis_surjection(seq, max(seq)):
-        raise CliError(PARSE, f"not a basis surjection: {text!r}")
+        raise CliError(PARSE, f"not a basis surjection: {brief(text)}")
     return seq
 
 
@@ -244,7 +244,7 @@ def nonneg(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        raise argparse.ArgumentTypeError(f"{brief(text)} is not an integer") from None
     if value < 0:
         raise argparse.ArgumentTypeError("must be nonnegative")
     return value

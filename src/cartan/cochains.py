@@ -16,10 +16,13 @@ Every action runs through one guarded entry, `_act_cochain`, and one
 evaluator, `_evaluate`, which works plan by plan rather than face by
 face.  Each cut plan is a conjunction of tests (slot, positions), and
 each test filters the target faces that passed the plan's earlier
-tests in one C-level pass.  The filtered lists are kept per prefix of
-sorted tests, so plans that begin with the same tests, and slots that
-hold the same cochain, filter once.  A face is in the result when an
-odd number of plans keep it.
+tests in one C-level pass.  An action's plans are compiled once per
+shape (words, dimensions, slots, m) into a schedule: the prefix tree of
+their sorted tests, so plans that begin with the same tests, and slots
+that hold the same cochain, filter once.  Each node records whether an
+odd number of plans end there, since plans with the same tests cancel.
+A face is in the result when an odd number of plans keep it.  The
+schedules are memoized for as long as the `_cut_plans` cache holds.
 
 The coboundary is bit-parallel.  `delta` numbers the (d+1)-faces of
 the n-simplex in the order it first meets them as cofaces f + {v} of
@@ -38,11 +41,45 @@ Cochains that this module builds itself (the results of the action,
 
 from __future__ import annotations
 
+import reprlib
 from functools import lru_cache, reduce
-from itertools import compress
-from operator import itemgetter, xor
+from itertools import chain, compress
+from operator import itemgetter, lt, xor
 
 from .simplicial import faces_of_dim
+
+
+# longest echo of an input in an error message
+BRIEF = 60
+_REPR = reprlib.Repr()
+_REPR.maxlevel = _REPR.maxlist = _REPR.maxtuple = BRIEF
+_REPR.maxstring = 2 * BRIEF + 3
+
+
+def brief(x) -> str:
+    """The repr of an input cut to its first BRIEF characters, for an error message.
+
+    `reprlib` stops at a bounded depth and length, so a deep or long
+    input costs little and cannot exhaust the recursion limit.
+    """
+    text = _REPR.repr(x)
+    return text if len(text) <= BRIEF else text[:BRIEF] + "..."
+
+
+def _plain_faces(faces: frozenset, dim: int, ambient: int) -> bool:
+    """Whether every face is dim + 1 strictly increasing ints in [0, ambient].
+
+    Checks the whole support at once, column by column, so a valid
+    support costs a few C-level passes; False sends `Cochain` to its
+    per-face loop, which names the first bad face.
+    """
+    if not faces:
+        return True
+    if set(map(len, faces)) != {dim + 1} or set(map(type, chain.from_iterable(faces))) != {int}:
+        return False
+    columns = list(zip(*faces))
+    return (all(all(map(lt, x, y)) for x, y in zip(columns, columns[1:]))
+            and min(columns[0]) >= 0 and max(columns[-1]) <= ambient)
 
 
 class Cochain:
@@ -56,15 +93,17 @@ class Cochain:
         faces = frozenset(tuple(f) for f in support)
         if dim < 0 and faces:
             raise ValueError(f"a cochain of dimension {dim} has no faces to support it")
-        for f in faces:
-            if len(f) != dim + 1:
-                raise ValueError(f"face {f} does not have dimension {dim}")
-            if any(not isinstance(v, int) or isinstance(v, bool) for v in f):
-                raise ValueError(f"face {f} has non-integer vertices")
-            if any(a >= b for a, b in zip(f, f[1:])):
-                raise ValueError(f"face {f} is not strictly increasing")
-            if f[0] < 0 or f[-1] > ambient:
-                raise ValueError(f"face {f} leaves the ambient simplex")
+        if not _plain_faces(faces, dim, ambient):
+            # some face may be bad: find the first one, in the order of the checks
+            for f in faces:
+                if len(f) != dim + 1:
+                    raise ValueError(f"face {brief(f)} does not have dimension {dim}")
+                if any(not isinstance(v, int) or isinstance(v, bool) for v in f):
+                    raise ValueError(f"face {brief(f)} has non-integer vertices")
+                if any(a >= b for a, b in zip(f, f[1:])):
+                    raise ValueError(f"face {brief(f)} is not strictly increasing")
+                if f[0] < 0 or f[-1] > ambient:
+                    raise ValueError(f"face {brief(f)} leaves the ambient simplex")
         self.ambient = ambient
         self.dim = dim
         self.support = faces
@@ -117,7 +156,7 @@ class Cochain:
             raise ValueError("cochain document must be an object")
         extra = set(data) - {"ambient", "dim", "support"}
         if extra:
-            raise ValueError(f"unknown cochain fields: {sorted(extra)}")
+            raise ValueError(f"unknown cochain fields: {brief(sorted(extra))}")
         try:
             ambient = data["ambient"]
             dim = data["dim"]
@@ -205,26 +244,27 @@ def _cut_plans(seq: tuple[int, ...], dims: tuple[int, ...], m: int):
     """Positions, per value, of every cut of an m-face that can evaluate nonzero.
 
     A plan lists for each value v the target positions joined under v.
-    Cuts whose block lengths cannot match the cochain dimensions, or
-    whose same-value blocks overlap, are pruned during the recursion.
-    The result only depends on the surjection, the dimensions and m, so
-    it is cached and shared by every call on m-faces.
+    A block holds at least one vertex, and an interior block whose two
+    neighbours carry the same value at least two, since with one vertex
+    those neighbours would overlap in it.  Each value's budget must
+    cover these least lengths before the search starts, and each block
+    leaves enough for the later blocks of its value; cuts whose
+    same-value blocks overlap are pruned as they appear.  The result
+    only depends on the surjection, the dimensions and m, so it is
+    cached and shared by every call on m-faces.
     """
     r = len(dims)
-    counts = [0] * r
-    for v in seq:
-        counts[v - 1] += 1
-    budgets = [d + 1 for d in dims]
-    if any(budgets[v] < counts[v] for v in range(r)):
-        return ()
-    if sum(budgets) != m + len(seq):
+    n_blocks = len(seq)
+    least = [1 + (0 < j < n_blocks - 1 and seq[j - 1] == seq[j + 1]) for j in range(n_blocks)]
+    need = [0] * r
+    for v, k in zip(seq, least):
+        need[v - 1] += k
+    rem = [d + 1 for d in dims]
+    if any(b < k for b, k in zip(rem, need)) or sum(rem) != m + n_blocks:
         return ()
     plans = []
     pos_acc: list[list[int]] = [[] for _ in range(r)]
-    rem = budgets[:]
-    cnt = counts[:]
     end = [-1] * r
-    n_blocks = len(seq)
 
     def rec(j: int, pos: int) -> None:
         if j == n_blocks:
@@ -233,67 +273,96 @@ def _cut_plans(seq: tuple[int, ...], dims: tuple[int, ...], m: int):
         v = seq[j] - 1
         if end[v] == pos:
             return
-        hi = rem[v] - (cnt[v] - 1)
-        lo = hi if cnt[v] == 1 else 1
+        need[v] -= least[j]
+        hi = rem[v] - need[v]
         saved = end[v]
-        for length in range(lo, hi + 1):
-            if pos + length - 1 > m:
-                break
+        for length in range(hi if need[v] == 0 else least[j], hi + 1):
             pos_acc[v].extend(range(pos, pos + length))
             rem[v] -= length
-            cnt[v] -= 1
             end[v] = pos + length - 1
             rec(j + 1, pos + length - 1)
             end[v] = saved
-            cnt[v] += 1
             rem[v] += length
             del pos_acc[v][-length:]
+        need[v] += least[j]
 
     rec(0, 0)
     return tuple(plans)
 
 
-def _evaluate(surjs, cochains, faces) -> set:
-    """The faces on which an odd number of the surjections' cut plans pass.
+def _schedule(key: tuple) -> tuple:
+    """The cut plans of (words, dims, slots, m) as a prefix tree of tests, cancelled in pairs.
 
-    The faces, at least one, share one dimension m.  A cut plan on
-    m-faces becomes its sorted set of tests (slot, positions): a face
-    passes a test when its vertices at those positions form a face in
-    the support of the cochain in that slot, and passes the plan when it
-    passes every test.
-    The slot of a cochain is the first one that holds the same object,
-    so the plans of (a, a, b, b) or of a cup of a with itself test each
-    support under one name, and a repeated test is made once.  Each
-    test filters, in one pass of `compress`, the faces that passed the
-    plan's earlier tests.  The filtered lists live in a prefix tree of
-    tests, one per call, so plans that begin with the same tests filter
-    once, and a plan stops at its first empty list.  A face passes a
-    plan at most once, so the result is the symmetric difference of
-    what the plans keep.  A getter of one position returns a bare
-    vertex rather than a 1-tuple, which happens exactly for dimension-0
-    cochains, so their support is keyed by vertex.
+    A plan becomes its sorted set of tests (slot, positions); plans with
+    one set of tests act alike, so only the sets met an odd number of
+    times remain.  A node is (slot, getter of the positions, whether a
+    remaining set ends here, child nodes), and a subtree in which no set
+    ends is never built.
     """
+    words, dims, slots, m = key
+    odd: set = set()
+    for s in words:
+        for plan in _cut_plans(s, dims, m):
+            odd ^= {tuple(sorted(set(zip(slots, plan))))}
+    trie: dict = {}
+    for *path, last in odd:
+        node = trie
+        for test in path:
+            node = node.setdefault(test, [False, {}])[1]
+        node.setdefault(last, [False, {}])[0] = True
+    getters = _Memo(lambda positions: itemgetter(*positions))
+
+    def freeze(node: dict) -> tuple:
+        return tuple((slot, getters[positions], ends, freeze(kids))
+                     for (slot, positions), (ends, kids) in node.items())
+
+    return freeze(trie)
+
+
+# (words, dims, slots, m) -> schedule of `_evaluate`, built from `_cut_plans` on first use
+_SCHEDULES = _Memo(_schedule)
+
+
+def _walk(nodes: tuple, passed: list, contains: list, out: set) -> None:
+    """Filter `passed` through each node's test, and toggle the faces kept where a set ends."""
+    for slot, get, ends, kids in nodes:
+        kept = list(compress(passed, map(contains[slot], map(get, passed))))
+        if kept:
+            if ends:
+                out.symmetric_difference_update(kept)
+            if kids:
+                _walk(kids, kept, contains, out)
+
+
+def _evaluate(words, cochains, faces) -> set:
+    """The faces on which an odd number of the words' cut plans pass.
+
+    The faces, at least one, share one dimension m.  A face passes a
+    test (slot, positions) when its vertices at those positions form a
+    face in the support of the cochain in that slot, and passes a plan
+    when it passes every test of the plan.  The slot of a cochain is the
+    first one that holds the same object, so the plans of (a, a, b, b)
+    or of a cup of a with itself test each support under one name.  The
+    plans are compiled once per (words, dims, slots, m) into a
+    `_schedule`, which lives as long as the `_cut_plans` cache: the memo
+    is emptied when that cache is found empty.  Each node of the
+    schedule filters, in one pass of `compress`, the faces that passed
+    its parent, and a subtree stops at its first empty list.  A face
+    passes a plan at most once, so the result is the symmetric
+    difference of what the plans keep.  A getter of one position returns
+    a bare vertex rather than a 1-tuple, which happens exactly for
+    dimension-0 cochains, so their support is keyed by vertex.
+    """
+    if not _cut_plans.cache_info().currsize:
+        _SCHEDULES.clear()
     dims = tuple(c.dim for c in cochains)
     ids = [id(c) for c in cochains]
-    slots = [ids.index(x) for x in ids]
+    slots = tuple(ids.index(x) for x in ids)
+    schedule = _SCHEDULES[words, dims, slots, len(faces[0]) - 1]
     contains = [(frozenset(f[0] for f in c.support) if c.dim == 0 else c.support).__contains__
                 for c in cochains]
-    root = {}
-    out = set()
-    for s in surjs:
-        for plan in _cut_plans(s, dims, len(faces[0]) - 1):
-            node, passed = root, faces
-            for test in sorted(set(zip(slots, plan))):
-                entry = node.get(test)
-                if entry is None:
-                    slot, positions = test
-                    entry = node[test] = (list(compress(
-                        passed, map(contains[slot], map(itemgetter(*positions), passed)))), {})
-                passed, node = entry
-                if not passed:
-                    break
-            else:
-                out.symmetric_difference_update(passed)
+    out: set = set()
+    _walk(schedule, faces, contains, out)
     return out
 
 

@@ -6,13 +6,14 @@ one, joins recomputed, tables read in full for every composition of
 the row lengths, values multiplied out.  The one exception is the
 reference evaluator `act_reference`: it walks the cached cut plans face
 by face and surjection by surjection, without compiling them, so it
-shares `_cut_plans`, which the tests check against
-`brute_surjection_value` on their own.  The defect references
-`squares_reference` and `defect_reference` are the literal sums of
-whole cup products: they share `cup`, which the tests check against
-`act_reference`, and check the arity-4 words that `cartan_defect`
-evaluates in place of the product of squares.  `cup_i_reference`, the
-closed cup-i formula, uses neither the cut plans nor the evaluator.
+shares `_cut_plans`, which the tests check cut by cut against
+`brute_cut_plans` and value by value against `brute_surjection_value`.
+The defect references `squares_reference` and `defect_reference` are
+the literal sums of whole cup products: they share `cup`, which the
+tests check against `act_reference`, and check the arity-4 words that
+`cartan_defect` evaluates in place of the product of squares.
+`cup_i_reference`, the closed cup-i formula, uses neither the cut
+plans nor the evaluator.
 `ez_reference` and `shih_reference` build every shuffle by applying
 degeneracy operators one index at a time, where the package walks its
 shuffles directly.
@@ -247,6 +248,24 @@ def brute_surjection_value(seq, cochains, target) -> int:
                 break
         total ^= factor
     return total
+
+
+def brute_cut_plans(seq, dims, m: int) -> list:
+    """Target positions joined under each value, for every cut of an m-face that fits `dims`.
+
+    Walks every choice of cut points in order and keeps a cut when the
+    blocks of each value v are disjoint and join to dims[v - 1] + 1
+    positions; the independent reference for `_cut_plans`.
+    """
+    plans = []
+    for cuts in combinations_with_replacement(range(m + 1), len(seq) - 1):
+        cs = (0,) + cuts + (m,)
+        joined = [[] for _ in dims]
+        for t, v in enumerate(seq):
+            joined[v - 1].extend(range(cs[t], cs[t + 1] + 1))
+        if all(len(set(p)) == len(p) == d + 1 for p, d in zip(joined, dims)):
+            plans.append(tuple(map(tuple, joined)))
+    return plans
 
 
 def plan_walk_value(seq, cochains, target) -> int:

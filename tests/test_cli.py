@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import cartan
 from cartan import cli
-from cartan.cochains import Cochain, cup, delta, ones
+from cartan.cochains import BRIEF, Cochain, cup, delta, ones
 from cartan.f2 import singleton
 from cartan.simplicial import faces_of_dim
 from cartan.surjection import surj_compose, table_reduction
@@ -106,6 +106,35 @@ def test_bad_json_file(capsys, tmp_path):
         case = (argv[0], argv[-1][-12:])
         assert rc == 2 and captured.out == "", case
         assert captured.err.startswith("error: "), case
+
+
+def test_error_lines_echo_a_bounded_prefix(capsys, tmp_path):
+    # a deep or long input is malformed (exit 2), and its error line shows at most
+    # the first BRIEF characters of it, however long the input
+    docs = {"nested.json": "[" * 900 + "]" * 900,
+            "long-perm.json": json.dumps([[1, 2], list(range(20_000, 0, -1))]),
+            "long-face.json": json.dumps({"ambient": 3, "dim": 1,
+                                          "support": [list(range(50_000))]}),
+            "unsorted-face.json": json.dumps({"ambient": 3, "dim": 19_999,
+                                              "support": [list(range(20_000, 0, -1))]}),
+            "fields.json": json.dumps({f"field{k}": k for k in range(20_000)})}
+    path = {name: str(tmp_path / name) for name in docs}
+    for name, text in docs.items():
+        (tmp_path / name).write_text(text)
+    for argv in (("surj-compose", "[" * 20_000 + "]" * 20_000, "1", "[1,2]"),
+                 ("surj-compose", "[" + "1," * 20_000 + "true]", "1", "[1,2]"),
+                 ("surj-compose", "[" + ",".join(["1"] * 20_000) + "]", "1", "[1,2]"),
+                 ("tr", path["nested.json"]), ("tr", path["long-perm.json"]),
+                 ("sq", "--k", "0", path["long-face.json"]),
+                 ("sq", "--k", "0", path["unsorted-face.json"]),
+                 ("sq", "--k", "0", path["fields.json"])):
+        rc = cli.main(list(argv))
+        captured = capsys.readouterr()
+        case = (argv[0], argv[-1][-16:])
+        assert rc == 2 and captured.out == "", case
+        line, = captured.err.splitlines()
+        assert line.startswith("error: ") and "..." in line, case
+        assert len(line) <= len(str(tmp_path)) + 100 + BRIEF, (case, len(line))
 
 
 def test_boolean_and_negative_fields_exit_two(capsys, tmp_path):

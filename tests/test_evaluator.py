@@ -1,17 +1,19 @@
 """The plan-major cochain evaluator and delta against the per-face references in `oracles`."""
 
 import random
+from itertools import product
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cartan.cochains
-from cartan.cochains import (Cochain, _act_cochain, cartan_coboundary, cup, cup_surjections,
-                             delta, ones, square_surjections, steenrod_square,
-                             witness_surjections)
+from cartan.cochains import (Cochain, _act_cochain, _cut_plans, cartan_coboundary,
+                             cartan_defect, cup, cup_surjections, delta, ones,
+                             square_surjections, steenrod_square, witness_surjections)
 from cartan.simplicial import faces_of_dim
 
-from oracles import act_reference, cup_i_reference, delta_reference, squares_reference
+from oracles import (act_reference, brute_cut_plans, cup_i_reference, delta_reference,
+                     squares_reference)
 
 KINDS = ("zero", "sparse", "dense")
 
@@ -242,6 +244,21 @@ def test_one_object_in_several_slots_acts_as_equal_copies(iab):
         square_surjections, i, (a, copy(a), b, copy(b)), dim + 1)
 
 
+def test_plans_with_one_set_of_tests_cancel():
+    # on (a, a, a, a) with dim a = i = d, a plan of each of two square words tests a
+    # on positions (0..d), (d..2d), (2d..3d); the pair cancels, so a shared end that
+    # counted once would leave a nonzero defect; these cocycles pass all three tests
+    # on the face (0, 1, ..., 3d)
+    for g in (Cochain(4, 0, [(0,), (2,), (4,)]), Cochain(6, 1, [(0, 1), (2, 3), (4, 5)])):
+        a = delta(g)
+        d = a.dim
+        top = tuple(range(3 * d + 1))
+        assert all(top[k * d:(k + 1) * d + 1] in a.support for k in range(3))
+        squares = _act_cochain(square_surjections, d, (a, a, a, a), 3 * d)
+        assert squares == squares_reference(d, a, a)
+        assert cartan_defect(d, a, a).is_zero
+
+
 @st.composite
 def square_inputs(draw):
     """(i, a, b) with n <= 8 and i <= 5, mostly with a defect that can be nonzero.
@@ -293,3 +310,37 @@ def test_zero_input_scans_no_face(monkeypatch):
             assert cartan_coboundary(i, x, y) == Cochain(6, 3 - i)
             assert _act_cochain(square_surjections, i, (x, x, y, y), 4 - i) == (
                 Cochain(6, 4 - i))
+
+
+def test_cut_plans_match_the_brute_force_cuts():
+    # every word of the witness, square and cup families for small i, at every
+    # dimension vector up to a bound, on the one m whose cuts can fit and its neighbours
+    families = [(witness_surjections, 4, 4, 2), (square_surjections, 4, 4, 2),
+                (cup_surjections, 2, 6, 4)]
+    nonempty = 0
+    for words, r, max_i, max_dim in families:
+        for i in range(max_i + 1):
+            for s in words(i):
+                for dims in product(range(max_dim + 1), repeat=r):
+                    fit = sum(dims) + r - len(s)
+                    for m in range(max(0, fit - 1), fit + 2):
+                        plans = _cut_plans(s, dims, m)
+                        assert list(plans) == brute_cut_plans(s, dims, m), (s, dims, m)
+                        nonempty += bool(plans)
+    assert nonempty > 100
+
+
+def test_schedules_live_as_long_as_the_cut_plans():
+    # a schedule is built from the cut plans, so emptying their cache rebuilds it
+    schedules = cartan.cochains._SCHEDULES
+    rng = random.Random(8)
+    a, b = (make_cochain(rng, 6, 2, "dense") for _ in range(2))
+    _cut_plans.cache_clear()
+    expected = cup(1, a, b)
+    first, = schedules.values()
+    assert cup(1, a, b) == expected and _cut_plans.cache_info().misses == 1
+    assert next(iter(schedules.values())) is first
+    _cut_plans.cache_clear()
+    assert cup(1, a, b) == expected and _cut_plans.cache_info().misses == 1
+    rebuilt, = schedules.values()
+    assert rebuilt is not first
