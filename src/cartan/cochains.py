@@ -12,17 +12,17 @@ closed-form surjections (see `witness_surjections`).  The defect's
 product of squares is i + 1 arity-4 words too (`square_surjections`),
 so no cup-j factor is built as a whole cochain.
 
-Every action runs through one guarded entry, `_act_cochain`, and one
-evaluator, `_evaluate`, which works plan by plan rather than face by
-face.  Each cut plan is a conjunction of tests (slot, positions), and
-each test filters the target faces that passed the plan's earlier
-tests in one C-level pass.  An action's plans are compiled once per
-shape (words, dimensions, slots, m) into a schedule: the prefix tree of
-their sorted tests, so plans that begin with the same tests, and slots
-that hold the same cochain, filter once.  Each node records whether an
-odd number of plans end there, since plans with the same tests cancel.
-A face is in the result when an odd number of plans keep it.  The
-schedules are memoized for as long as the `_cut_plans` cache holds.
+Every action runs through one guarded entry, `_act_cochain`, which
+works plan by plan rather than face by face.  Each cut plan is a
+conjunction of tests (slot, positions), and each test filters the
+target faces that passed the plan's earlier tests in one C-level pass.
+An action's plans are compiled once per shape (words, dimensions,
+slots, m) into a schedule: the prefix tree of their sorted tests, so
+plans that begin with the same tests, and slots that hold the same
+cochain, filter once.  Each node records whether an odd number of
+plans end there, since plans with the same tests cancel.  A face is in
+the result when an odd number of plans keep it.  The schedules are
+memoized for as long as the `_cut_plans` cache holds.
 
 The coboundary is bit-parallel.  `delta` numbers the (d+1)-faces of
 the n-simplex in the order it first meets them as cofaces f + {v} of
@@ -36,7 +36,10 @@ not with the number of faces of the simplex.
 
 Cochains that this module builds itself (the results of the action,
 `delta` and `+`) skip the validation that the public constructor and
-`Cochain.from_dict` apply to outside input.
+`Cochain.from_dict` apply to outside input.  That validation checks
+every face before any face is hashed, so an unhashable vertex is
+reported like any other bad vertex, and names the first bad face in
+input order, whatever the hash seed.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from functools import lru_cache, reduce
 from itertools import chain, compress
 from operator import itemgetter, lt, xor
 
+from .f2 import F2Sum
 from .simplicial import faces_of_dim
 
 
@@ -66,7 +70,7 @@ def brief(x) -> str:
     return text if len(text) <= BRIEF else text[:BRIEF] + "..."
 
 
-def _plain_faces(faces: frozenset, dim: int, ambient: int) -> bool:
+def _plain_faces(faces: list, dim: int, ambient: int) -> bool:
     """Whether every face is dim + 1 strictly increasing ints in [0, ambient].
 
     Checks the whole support at once, column by column, so a valid
@@ -90,11 +94,11 @@ class Cochain:
     def __init__(self, ambient: int, dim: int, support=()):
         if ambient < 0:
             raise ValueError("ambient dimension must be nonnegative")
-        faces = frozenset(tuple(f) for f in support)
+        faces = [tuple(f) for f in support]
         if dim < 0 and faces:
             raise ValueError(f"a cochain of dimension {dim} has no faces to support it")
         if not _plain_faces(faces, dim, ambient):
-            # some face may be bad: find the first one, in the order of the checks
+            # some face may be bad: find the first one, in input order
             for f in faces:
                 if len(f) != dim + 1:
                     raise ValueError(f"face {brief(f)} does not have dimension {dim}")
@@ -106,7 +110,7 @@ class Cochain:
                     raise ValueError(f"face {brief(f)} leaves the ambient simplex")
         self.ambient = ambient
         self.dim = dim
-        self.support = faces
+        self.support = frozenset(faces)
 
     @classmethod
     def _built(cls, ambient: int, dim: int, support: frozenset) -> "Cochain":
@@ -120,9 +124,6 @@ class Cochain:
     @property
     def is_zero(self) -> bool:
         return not self.support
-
-    def value(self, face: tuple[int, ...]) -> int:
-        return 1 if tuple(face) in self.support else 0
 
     def __add__(self, other: "Cochain") -> "Cochain":
         if not isinstance(other, Cochain):
@@ -169,10 +170,10 @@ class Cochain:
             raise ValueError("dim must be nonnegative")
         if not isinstance(support, list) or any(not isinstance(f, list) for f in support):
             raise ValueError("support must be a list of faces")
-        faces = [tuple(f) for f in support]
-        if len(set(faces)) != len(faces):
+        c = cls(ambient, dim, support)
+        if len(c.support) != len(support):
             raise ValueError("support contains a repeated face")
-        return cls(ambient, dim, faces)
+        return c
 
 
 def ones(n: int) -> Cochain:
@@ -300,10 +301,8 @@ def _schedule(key: tuple) -> tuple:
     ends is never built.
     """
     words, dims, slots, m = key
-    odd: set = set()
-    for s in words:
-        for plan in _cut_plans(s, dims, m):
-            odd ^= {tuple(sorted(set(zip(slots, plan))))}
+    odd = F2Sum(tuple(sorted(set(zip(slots, plan))))
+                for s in words for plan in _cut_plans(s, dims, m))
     trie: dict = {}
     for *path, last in odd:
         node = trie
@@ -319,7 +318,7 @@ def _schedule(key: tuple) -> tuple:
     return freeze(trie)
 
 
-# (words, dims, slots, m) -> schedule of `_evaluate`, built from `_cut_plans` on first use
+# (words, dims, slots, m) -> schedule of `_act_cochain`, built from `_cut_plans` on first use
 _SCHEDULES = _Memo(_schedule)
 
 
@@ -332,49 +331,6 @@ def _walk(nodes: tuple, passed: list, contains: list, out: set) -> None:
                 out.symmetric_difference_update(kept)
             if kids:
                 _walk(kids, kept, contains, out)
-
-
-def _evaluate(words, cochains, faces) -> set:
-    """The faces on which an odd number of the words' cut plans pass.
-
-    The faces, at least one, share one dimension m.  A face passes a
-    test (slot, positions) when its vertices at those positions form a
-    face in the support of the cochain in that slot, and passes a plan
-    when it passes every test of the plan.  The slot of a cochain is the
-    first one that holds the same object, so the plans of (a, a, b, b)
-    or of a cup of a with itself test each support under one name.  The
-    plans are compiled once per (words, dims, slots, m) into a
-    `_schedule`, which lives as long as the `_cut_plans` cache: the memo
-    is emptied when that cache is found empty.  Each node of the
-    schedule filters, in one pass of `compress`, the faces that passed
-    its parent, and a subtree stops at its first empty list.  A face
-    passes a plan at most once, so the result is the symmetric
-    difference of what the plans keep.  A getter of one position returns
-    a bare vertex rather than a 1-tuple, which happens exactly for
-    dimension-0 cochains, so their support is keyed by vertex.
-    """
-    if not _cut_plans.cache_info().currsize:
-        _SCHEDULES.clear()
-    dims = tuple(c.dim for c in cochains)
-    ids = [id(c) for c in cochains]
-    slots = tuple(ids.index(x) for x in ids)
-    schedule = _SCHEDULES[words, dims, slots, len(faces[0]) - 1]
-    contains = [(frozenset(f[0] for f in c.support) if c.dim == 0 else c.support).__contains__
-                for c in cochains]
-    out: set = set()
-    _walk(schedule, faces, contains, out)
-    return out
-
-
-def apply_surjection(seq: tuple[int, ...], cochains, target: tuple[int, ...]) -> int:
-    """Value on `target` of the surjection acting on the given cochains."""
-    r = len(cochains)
-    if set(seq) != set(range(1, r + 1)):
-        raise ValueError("surjection arity does not match the number of cochains")
-    ambient = cochains[0].ambient
-    if any(c.ambient != ambient for c in cochains):
-        raise ValueError("cochains live on different simplices")
-    return len(_evaluate((seq,), cochains, (target,)))
 
 
 def _alt(x: int, y: int, length: int) -> tuple[int, ...]:
@@ -422,17 +378,42 @@ def square_surjections(i: int) -> tuple:
 def _act_cochain(words, i: int, cochains, dim: int) -> Cochain:
     """Sum of the surjections `words(i)` acting on cochains of one simplex, as a dim-cochain.
 
-    The one entry for every action: it rejects cochains of different
-    simplices, returns zero before `words(i)` is built when the simplex
-    has no dim-face, and before any face is listed when an operand is
-    zero, since the action is multilinear.
+    The one entry for every action.  It rejects cochains of different
+    simplices, and returns zero before `words(i)` is built when the
+    simplex has no dim-face, and before any face is listed when an
+    operand is zero, since the action is multilinear.  Otherwise it
+    keeps the dim-faces on which an odd number of the words' cut plans
+    pass.  A face passes a test (slot, positions) when its vertices at
+    those positions form a face in the support of the cochain in that
+    slot, and passes a plan when it passes every test of the plan.  The
+    slot of a cochain is the first one that holds the same object, so
+    the plans of (a, a, b, b) or of a cup of a with itself test each
+    support under one name.  The plans are compiled once per (words,
+    dims, slots, dim) into a `_schedule`, which lives as long as the
+    `_cut_plans` cache: the memo is emptied when that cache is found
+    empty.  Each node of the schedule filters, in one pass of
+    `compress`, the faces that passed its parent, and a subtree stops at
+    its first empty list.  A face passes a plan at most once, so the
+    result is the symmetric difference of what the plans keep.  A
+    getter of one position returns a bare vertex rather than a 1-tuple,
+    which happens exactly for dimension-0 cochains, so their support is
+    keyed by vertex.
     """
     n = cochains[0].ambient
     if any(c.ambient != n for c in cochains):
         raise ValueError("cochains live on different simplices")
     if not 0 <= dim <= n or not all(c.support for c in cochains):
         return Cochain._built(n, dim, frozenset())
-    return Cochain._built(n, dim, frozenset(_evaluate(words(i), cochains, faces_of_dim(n, dim))))
+    if not _cut_plans.cache_info().currsize:
+        _SCHEDULES.clear()
+    ids = [id(c) for c in cochains]
+    slots = tuple(map(ids.index, ids))
+    schedule = _SCHEDULES[words(i), tuple(c.dim for c in cochains), slots, dim]
+    contains = [(frozenset(f[0] for f in c.support) if c.dim == 0 else c.support).__contains__
+                for c in cochains]
+    out: set = set()
+    _walk(schedule, faces_of_dim(n, dim), contains, out)
+    return Cochain._built(n, dim, frozenset(out))
 
 
 def cup(i: int, a: Cochain, b: Cochain) -> Cochain:

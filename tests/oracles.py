@@ -17,13 +17,17 @@ plans nor the evaluator.
 `ez_reference` and `shih_reference` build every shuffle by applying
 degeneracy operators one index at a time, where the package walks its
 shuffles directly.
+Two helpers are not references: `value` reads a cochain on one face,
+and `act_word` runs one surjection word as a whole action through the
+package's one action entry, `_act_cochain`, so the tests can compare
+it face by face with `brute_surjection_value`.
 """
 
 from collections import Counter
 from itertools import chain, combinations, combinations_with_replacement
 
-from cartan.cochains import (Cochain, _cut_plans, cartan_coboundary, cup, delta,
-                             witness_surjections)
+from cartan.cochains import (Cochain, _act_cochain, _cut_plans, cartan_coboundary, cup,
+                             delta, witness_surjections)
 from cartan.f2 import F2Sum
 from cartan.simplicial import factors, faces_of_dim, is_degenerate
 
@@ -35,6 +39,16 @@ def odd_terms(terms) -> frozenset:
     keeps it as it is, so no oracle goes through the constructor's loop.
     """
     return frozenset(t for t, k in Counter(terms).items() if k % 2)
+
+
+def value(c: Cochain, face) -> int:
+    """The value of a cochain on a face: 1 when the face is in its support."""
+    return int(tuple(face) in c.support)
+
+
+def act_word(seq: tuple[int, ...], cochains, dim: int) -> Cochain:
+    """The one word `seq` acting on the cochains, as a whole dim-cochain."""
+    return _act_cochain(lambda _: (seq,), 0, cochains, dim)
 
 
 def all_faces(n: int) -> list[tuple[int, ...]]:
@@ -211,7 +225,7 @@ def surjection_monomials(seq: tuple[int, ...], target: tuple[int, ...]) -> froze
     A member (F_1, ..., F_r) stands for the summand prod_v alpha_v(F_v);
     no dimension constraint is imposed, so this is the expansion for
     formal cochain inputs.  Enumerates every cut directly (no pruning),
-    which keeps it an independent cross-check of `apply_surjection`.
+    which keeps it an independent cross-check of the action.
     """
     r = max(seq)
 
@@ -243,7 +257,7 @@ def brute_surjection_value(seq, cochains, target) -> int:
             if len(set(verts)) != len(verts):
                 factor = 0
                 break
-            if cochains[v - 1].value(tuple(sorted(verts))) == 0:
+            if value(cochains[v - 1], tuple(sorted(verts))) == 0:
                 factor = 0
                 break
         total ^= factor
@@ -305,8 +319,8 @@ def cup_i_reference(i: int, a: Cochain, b: Cochain) -> Cochain:
         for u in combinations(range(m + 1), m - i):
             u0 = {p for j, p in enumerate(u, 1) if (p + j) % 2 == 0}
             u1 = set(u) - u0
-            total ^= (a.value(tuple(v for p, v in enumerate(f) if p not in u0))
-                      & b.value(tuple(v for p, v in enumerate(f) if p not in u1)))
+            total ^= (value(a, tuple(v for p, v in enumerate(f) if p not in u0))
+                      & value(b, tuple(v for p, v in enumerate(f) if p not in u1)))
         if total:
             out.append(f)
     return Cochain(a.ambient, m, out)
@@ -327,7 +341,7 @@ def cup0_value(a: Cochain, b: Cochain, target) -> int:
     p = a.dim
     if len(target) - 1 != a.dim + b.dim:
         return 0
-    return a.value(target[:p + 1]) * b.value(target[p:])
+    return value(a, target[:p + 1]) * value(b, target[p:])
 
 
 def restrict(c: Cochain, verts) -> Cochain:

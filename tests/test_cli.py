@@ -218,6 +218,33 @@ def test_python_dash_m_runs_the_cli(capsys):
         assert (proc.returncode, proc.stdout, proc.stderr) == (rc, out, "")
 
 
+def test_unhashable_vertices_exit_two(capsys, tmp_path):
+    for name, face, shown in (("list.json", [[0], 1], "([0], 1)"),
+                              ("dict.json", [{"v": 0}, 1], "({'v': 0}, 1)")):
+        path = tmp_path / name
+        path.write_text(json.dumps({"ambient": 3, "dim": 1, "support": [face]}))
+        rc = cli.main(["sq", "--k", "0", str(path)])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (2, ""), name
+        assert captured.err == f"error: {path}: face {shown} has non-integer vertices\n", name
+
+
+def test_error_lines_do_not_depend_on_the_hash_seed(tmp_path):
+    # with several bad faces, the first in input order is named, not the first in set order
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"ambient": 3, "dim": 1,
+                                "support": [[0, "x"], [1, "y"], [2, "z"], [0, "w"]]}))
+    errors = set()
+    for seed in ("1", "4"):
+        env = dict(os.environ, PYTHONPATH=str(Path(cartan.__file__).resolve().parent.parent),
+                   PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-m", "cartan", "sq", "--k", "0", str(path)],
+                              capture_output=True, text=True, env=env, check=False)
+        assert (proc.returncode, proc.stdout) == (2, ""), seed
+        errors.add(proc.stderr)
+    assert errors == {f"error: {path}: face (0, 'x') has non-integer vertices\n"}
+
+
 def test_importing_the_cli_loads_no_dataclasses():
     # dataclasses pulls in inspect, which every cartan call would pay for in memory and start-up
     env = dict(os.environ, PYTHONPATH=str(Path(cartan.__file__).resolve().parent.parent))

@@ -9,8 +9,8 @@ from cartan.barratt_eccles import (MID_SWAP4, SWAP2, cup_generator, diag_embed,
                                    diagonal_homotopy, embedding_homotopy,
                                    product_of_squares, sigma_act, squared_product)
 from cartan.cli import MAX_WITNESS_INDEX
-from cartan.cochains import (Cochain, apply_surjection, cartan_coboundary, cartan_defect,
-                             cup, cup_surjections, delta, ones, square_surjections,
+from cartan.cochains import (Cochain, cartan_coboundary, cartan_defect, cup,
+                             cup_surjections, delta, ones, square_surjections,
                              steenrod_square, witness_surjections)
 from cartan.f2 import ZERO, F2Sum, singleton
 from cartan.simplicial import faces_of_dim
@@ -18,8 +18,9 @@ from cartan.surjection import (is_basis_surjection, surj_act, surj_boundary, sur
                                table_reduction)
 from cartan.verify import random_cochain
 
-from oracles import (act_reference, all_faces, brute_surjection_value, cup0_value,
-                     diagonal_iter, join, restrict, squares_reference, surjection_monomials)
+from oracles import (act_reference, act_word, all_faces, brute_surjection_value, cup0_value,
+                     diagonal_iter, join, restrict, squares_reference, surjection_monomials,
+                     value)
 
 
 def test_cochain_validation():
@@ -27,7 +28,10 @@ def test_cochain_validation():
                  (2, 1, [(1, 0)]),
                  (2, 1, [(0, 3)]),
                  (-1, 0, []),
-                 (2, -1, [()])):
+                 (2, -1, [()]),
+                 # unhashable vertices: the faces are checked before they are hashed
+                 (3, 1, [(0, [1])]),
+                 (3, 1, [(0, {"v": 1})])):
         with pytest.raises(ValueError):
             Cochain(*args)
     # out-of-range dims are fine while the support is empty
@@ -35,11 +39,23 @@ def test_cochain_validation():
     assert Cochain(2, -1, []).is_zero
 
 
+def test_validation_names_the_first_bad_face_in_input_order():
+    for support, message in (([[0, "x"], [1, "y"], [2, "z"], [0, "w"]],
+                               "face (0, 'x') has non-integer vertices"),
+                              ([[0, 1], [2, 1], [0, "x"], [0, 9]],
+                               "face (2, 1) is not strictly increasing"),
+                              ([[0, 1], [0, 9], [[0], 1]],
+                               "face (0, 9) leaves the ambient simplex")):
+        with pytest.raises(ValueError) as info:
+            Cochain.from_dict({"ambient": 3, "dim": 1, "support": support})
+        assert str(info.value) == message
+
+
 def test_cochain_algebra():
     a = Cochain(2, 1, [(0, 1)])
     b = Cochain(2, 1, [(0, 1), (1, 2)])
     assert a + b == Cochain(2, 1, [(1, 2)])
-    assert a.value((0, 1)) == 1 and a.value((1, 2)) == 0
+    assert value(a, (0, 1)) == 1 and value(a, (1, 2)) == 0
     with pytest.raises(ValueError):
         a + Cochain(2, 0, [(0,)])
     with pytest.raises(ValueError):
@@ -99,27 +115,19 @@ def test_join_golden():
     assert join([(0, 1), (1, 2)]) is None
 
 
-def test_apply_surjection_examples():
+def test_word_action_examples():
     a = Cochain(1, 1, [(0, 1)])
-    assert apply_surjection((1, 2, 1), (a, a), (0, 1)) == 1
+    assert value(act_word((1, 2, 1), (a, a), 1), (0, 1)) == 1
     e0 = Cochain(2, 1, [(0, 1)])
     e1 = Cochain(2, 1, [(1, 2)])
-    assert apply_surjection((1, 2), (e0, e1), (0, 1, 2)) == 1
-    assert apply_surjection((1, 2), (e1, e0), (0, 1, 2)) == 0
-
-
-def test_apply_surjection_guards():
-    a = Cochain(1, 0, [(0,)])
-    with pytest.raises(ValueError):
-        apply_surjection((1, 3), (a, a), (0,))
-    with pytest.raises(ValueError):
-        apply_surjection((1, 2), (a, Cochain(2, 0, [(0,)])), (0,))
+    assert value(act_word((1, 2), (e0, e1), 2), (0, 1, 2)) == 1
+    assert value(act_word((1, 2), (e1, e0), 2), (0, 1, 2)) == 0
 
 
 SEQS = [(1, 2), (2, 1), (1, 2, 1), (1, 2, 1, 2), (1, 2, 3), (1, 2, 3, 1), (1, 3, 2, 3, 4)]
 
 
-def test_apply_surjection_matches_the_brute_force():
+def test_word_action_matches_the_brute_force():
     rng = random.Random(7)
     for seq in SEQS:
         r = max(seq)
@@ -127,9 +135,10 @@ def test_apply_surjection_matches_the_brute_force():
             for _ in range(6):
                 cochains = tuple(random_cochain(rng, n, rng.randrange(n + 1))
                                  for _ in range(r))
-                for f in all_faces(n):
-                    assert (apply_surjection(seq, cochains, f)
-                            == brute_surjection_value(seq, cochains, f))
+                for dim in range(n + 1):
+                    got = act_word(seq, cochains, dim)
+                    for f in faces_of_dim(n, dim):
+                        assert value(got, f) == brute_surjection_value(seq, cochains, f)
 
 
 def test_symbolic_monomials_evaluate_to_the_action():
@@ -139,11 +148,13 @@ def test_symbolic_monomials_evaluate_to_the_action():
         for n in (2, 3):
             cochains = tuple(random_cochain(rng, n, rng.randrange(n + 1))
                              for _ in range(r))
-            for f in all_faces(n):
-                symbolic = sum(
-                    all(c.value(F) for c, F in zip(cochains, mono))
-                    for mono in surjection_monomials(seq, f)) % 2
-                assert symbolic == apply_surjection(seq, cochains, f)
+            for dim in range(n + 1):
+                got = act_word(seq, cochains, dim)
+                for f in faces_of_dim(n, dim):
+                    symbolic = sum(
+                        all(value(c, F) for c, F in zip(cochains, mono))
+                        for mono in surjection_monomials(seq, f)) % 2
+                    assert symbolic == value(got, f)
 
 
 def test_cup_zero_is_the_classical_product():
@@ -161,7 +172,7 @@ def test_cup_zero_matches_the_front_back_oracle():
             b = random_cochain(rng, n, rng.randrange(n + 1))
             got = cup(0, a, b)
             for f in faces_of_dim(n, a.dim + b.dim):
-                assert got.value(f) == cup0_value(a, b, f)
+                assert value(got, f) == cup0_value(a, b, f)
 
 
 def test_cup_one_self_on_the_interval():
@@ -321,9 +332,9 @@ def test_witness_value_matches_the_printed_monomial():
         a = delta(random_cochain(rng, 3, 0))
         b = delta(random_cochain(rng, 3, 0))
         z = cartan_coboundary(0, a, b)
-        want = (a.value((0, 1)) & a.value((1, 2))
-                & b.value((1, 2)) & b.value((2, 3)))
-        assert z.value((0, 1, 2, 3)) == want
+        want = (value(a, (0, 1)) & value(a, (1, 2))
+                & value(b, (1, 2)) & value(b, (2, 3)))
+        assert value(z, (0, 1, 2, 3)) == want
 
 
 def test_cartan_defect_zero_for_sampled_cocycles():
