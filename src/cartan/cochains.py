@@ -8,9 +8,15 @@ joining the blocks under each value, and evaluating; overlapping joins
 and dimension mismatches contribute zero.  On top of the action sit the
 cup-i products, the chain-level Steenrod squares, and the Cartan
 coboundary witness together with its defect, all acting through
-closed-form surjections (see `witness_surjections`).  The defect's
-product of squares is i + 1 arity-4 words too (`square_surjections`),
-so no cup-j factor is built as a whole cochain.
+closed-form surjections (see `witness_surjections`).  The defect is
+delta of the witness plus one action on (a, a, b, b) of two more
+closed forms: the squared product (a cup_0 b) cup_i (a cup_0 b) as
+floor((i+2)^2/4) arity-4 words (`squared_product_surjections`) and the
+product of squares as i + 1 (`square_surjections`), so no cup is built
+as a whole cochain.  The coboundary of the witness is taken on the
+cochain, not folded into the words, so a zero defect still checks the
+witness words against the other two families; the relation between
+the three families of words is checked on its own, with no cochain.
 
 Every action runs through one guarded entry, `_act_cochain`, which
 works plan by plan rather than face by face.  Each cut plan is a
@@ -46,7 +52,7 @@ from __future__ import annotations
 
 import reprlib
 from functools import lru_cache, reduce
-from itertools import chain, compress
+from itertools import chain, compress, zip_longest
 from operator import itemgetter, lt, xor
 
 from .f2 import F2Sum
@@ -252,7 +258,9 @@ def _cut_plans(seq: tuple[int, ...], dims: tuple[int, ...], m: int):
     leaves enough for the later blocks of its value; cuts whose
     same-value blocks overlap are pruned as they appear.  The result
     only depends on the surjection, the dimensions and m, so it is
-    cached and shared by every call on m-faces.
+    cached and shared by every call on m-faces.  Plans that join the
+    same positions share one tuple: a word's plans repeat a few
+    position tuples many times, and the cache holds them all.
     """
     r = len(dims)
     n_blocks = len(seq)
@@ -266,10 +274,11 @@ def _cut_plans(seq: tuple[int, ...], dims: tuple[int, ...], m: int):
     plans = []
     pos_acc: list[list[int]] = [[] for _ in range(r)]
     end = [-1] * r
+    shared: dict = {}
 
     def rec(j: int, pos: int) -> None:
         if j == n_blocks:
-            plans.append(tuple(tuple(p) for p in pos_acc))
+            plans.append(tuple(shared.setdefault(p, p) for p in map(tuple, pos_acc)))
             return
         v = seq[j] - 1
         if end[v] == pos:
@@ -375,6 +384,34 @@ def square_surjections(i: int) -> tuple:
                         for j in range(i + 1)))
 
 
+def _turns(low: int, count: int) -> list:
+    """Each way to write `count` blocks as (low) ... (low) (low low+2) (low+2) ... (low+2)."""
+    return [((low,),) * k + ((low, low + 2),) + ((low + 2,),) * (count - k - 1)
+            for k in range(count)]
+
+
+def squared_product_surjections(i: int) -> tuple:
+    """Arity-4 surjections acting as the squared product: floor((i+2)^2/4) words, sorted.
+
+    In the cup-i word x y x y ... (i + 2 letters), one x becomes 1 3, the
+    x's before it 1 and those after it 3; one y becomes 2 4, the y's
+    before it 2 and those after it 4.  Each word has length i + 4, and on
+    (a, a, b, b) the words act as (a cup_0 b) cup_i (a cup_0 b): they are
+    (2 3) cup_i o (cup_0, cup_0), the `surj_compose` of cup words, as
+    the tests check for every i <= 40.  A letter from {1, 2} follows one
+    from {3, 4} in every word, so none is a `square_surjections` word.
+    """
+    return tuple(sorted(sum(chain.from_iterable(zip_longest(x, y, fillvalue=())), ())
+                        for x in _turns(1, (i + 3) // 2) for y in _turns(2, (i + 2) // 2)))
+
+
+@lru_cache(maxsize=None)
+def _defect_surjections(i: int) -> tuple:
+    """The words `cartan_defect` adds to delta of the witness: the squared product, then
+    the product of squares."""
+    return squared_product_surjections(i) + square_surjections(i)
+
+
 def _act_cochain(words, i: int, cochains, dim: int) -> Cochain:
     """Sum of the surjections `words(i)` acting on cochains of one simplex, as a dim-cochain.
 
@@ -445,11 +482,13 @@ def cartan_coboundary(i: int, a: Cochain, b: Cochain) -> Cochain:
 def cartan_defect(i: int, a: Cochain, b: Cochain) -> Cochain:
     """delta(witness) + (a cup_0 b) cup_i (a cup_0 b) + sum of (a cup_j a) cup_0 (b cup_k b).
 
-    Zero for cocycle inputs; non-cocycles are rejected.  The last sum is
-    the action of `square_surjections(i)` on (a, a, b, b).
+    Zero for cocycle inputs; non-cocycles are rejected.  The last two
+    terms are one action on (a, a, b, b): the words of
+    `squared_product_surjections(i)` and `square_surjections(i)`.  The
+    coboundary of the witness is taken on the cochain, not folded into
+    the words, so a zero defect checks the witness against these words.
     """
     if not delta(a).is_zero or not delta(b).is_zero:
         raise ValueError("inputs must be cocycles")
-    ab = cup(0, a, b)
-    out = delta(cartan_coboundary(i, a, b)) + cup(i, ab, ab)
-    return out + _act_cochain(square_surjections, i, (a, a, b, b), out.dim)
+    out = delta(cartan_coboundary(i, a, b))
+    return out + _act_cochain(_defect_surjections, i, (a, a, b, b), out.dim)

@@ -8,10 +8,12 @@ reference evaluator `act_reference`: it walks the cached cut plans face
 by face and surjection by surjection, without compiling them, so it
 shares `_cut_plans`, which the tests check cut by cut against
 `brute_cut_plans` and value by value against `brute_surjection_value`.
-The defect references `squares_reference` and `defect_reference` are
-the literal sums of whole cup products: they share `cup`, which the
-tests check against `act_reference`, and check the arity-4 words that
-`cartan_defect` evaluates in place of the product of squares.
+The defect references are literal sums of whole cup products:
+`squares_reference` for the product of squares, and `defect_reference`
+for the whole defect, its squared product built as two whole cups.
+They share `cup`, which the tests check against `act_reference`, and
+check the two arity-4 word families that `cartan_defect` evaluates in
+place of every cup.
 `cup_i_reference`, the closed cup-i formula, uses neither the cut
 plans nor the evaluator.
 `ez_reference` and `shih_reference` build every shuffle by applying
@@ -380,6 +382,7 @@ def squares_reference(i: int, a: Cochain, b: Cochain) -> Cochain:
 
 
 def defect_reference(i: int, a: Cochain, b: Cochain) -> Cochain:
-    """delta(witness) + (a cup_0 b) cup_i (a cup_0 b) + the literal product of squares."""
+    """The literal defect: delta(witness) + (a cup_0 b) cup_i (a cup_0 b) + the product of
+    squares, every product a whole cup."""
     ab = cup(0, a, b)
     return delta(cartan_coboundary(i, a, b)) + cup(i, ab, ab) + squares_reference(i, a, b)

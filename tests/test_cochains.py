@@ -9,9 +9,10 @@ from cartan.barratt_eccles import (MID_SWAP4, SWAP2, cup_generator, diag_embed,
                                    diagonal_homotopy, embedding_homotopy,
                                    product_of_squares, sigma_act, squared_product)
 from cartan.cli import MAX_WITNESS_INDEX
-from cartan.cochains import (Cochain, cartan_coboundary, cartan_defect, cup,
+from cartan.cochains import (Cochain, _act_cochain, cartan_coboundary, cartan_defect, cup,
                              cup_surjections, delta, ones, square_surjections,
-                             steenrod_square, witness_surjections)
+                             squared_product_surjections, steenrod_square,
+                             witness_surjections)
 from cartan.f2 import ZERO, F2Sum, singleton
 from cartan.simplicial import faces_of_dim
 from cartan.surjection import (is_basis_surjection, surj_act, surj_boundary, surj_compose,
@@ -19,8 +20,8 @@ from cartan.surjection import (is_basis_surjection, surj_act, surj_boundary, sur
 from cartan.verify import random_cochain
 
 from oracles import (act_reference, act_word, all_faces, brute_surjection_value, cup0_value,
-                     diagonal_iter, join, restrict, squares_reference, surjection_monomials,
-                     value)
+                     cup_i_reference, diagonal_iter, join, restrict, squares_reference,
+                     surjection_monomials, value)
 
 
 def test_cochain_validation():
@@ -212,7 +213,6 @@ def test_witness_and_defect_reject_different_ambients():
 def test_cup_out_of_range_builds_no_word():
     # an output dimension outside [0, n] returns before the i + 2 letter word is built and cached
     a = delta(Cochain(2, 0, [(0,)]))
-    cup_surjections(0)  # the defect's cup(0, a, a) has a face
     before = cup_surjections.cache_info().currsize
     assert cup(10**6, a, a) == Cochain(2, 2 - 10**6)
     assert cup(0, a, Cochain(2, 2, [(0, 1, 2)])) == Cochain(2, 3)
@@ -277,8 +277,8 @@ def test_closed_forms_equal_the_table_reduced_homotopies():
         assert witness_surjections(i) == tuple(sorted(table_reduction(embedding_homotopy(x))))
         assert table_reduction(diagonal_homotopy(x)) == ZERO
         assert square_surjections(i) == tuple(sorted(table_reduction(product_of_squares(x))))
-        assert squared_product_words(i) == table_reduction(
-            sigma_act(MID_SWAP4, squared_product(x)))
+        assert squared_product_surjections(i) == tuple(sorted(table_reduction(
+            sigma_act(MID_SWAP4, squared_product(x)))))
 
 
 def test_witness_words_satisfy_the_cartan_relation():
@@ -290,7 +290,38 @@ def test_witness_words_satisfy_the_cartan_relation():
         if i:
             prev = witness_surjections(i - 1)
             lhs = lhs + F2Sum(prev) + F2Sum(surj_act(diag_embed(SWAP2), s) for s in prev)
-        assert lhs == squared_product_words(i) + F2Sum(square_surjections(i))
+        assert lhs == F2Sum(squared_product_surjections(i)) + F2Sum(square_surjections(i))
+
+
+def test_squared_product_words_have_the_closed_form():
+    # the closed form is the composite of cup words, far past the index cap; no word of
+    # it is a product-of-squares word, so the defect's two families never cancel
+    for i in range(41):
+        words = squared_product_surjections(i)
+        assert F2Sum(words) == squared_product_words(i)
+        assert len(set(words)) == len(words) == (i + 2) ** 2 // 4
+        assert all(len(s) == i + 4 and is_basis_surjection(s, 4) for s in words)
+        assert not set(words) & set(square_surjections(i))
+
+
+def test_squared_product_words_act_as_the_closed_cup_formula():
+    # on random non-cocycles, where the term need not vanish: the words on (a, a, b, b)
+    # against cup_i(ab, ab) with ab = a cup_0 b, both by the closed formula, which uses
+    # no cut plan
+    rng = random.Random(23)
+    nonzero = 0
+    for n in range(2, 8):
+        for i in range(5):
+            for _ in range(4):
+                a = random_cochain(rng, n, rng.randrange(3))
+                b = random_cochain(rng, n, rng.randrange(3))
+                ab = cup_i_reference(0, a, b)
+                want = cup_i_reference(i, ab, ab)
+                got = _act_cochain(squared_product_surjections, i, (a, a, b, b),
+                                   2 * a.dim + 2 * b.dim - i)
+                assert got == want, (n, i, a, b)
+                nonzero += not want.is_zero
+    assert nonzero >= 20
 
 
 def test_product_of_squares_is_the_reduced_paper_term():
@@ -316,14 +347,17 @@ def test_square_words_have_the_closed_form_shape():
 
 
 def test_cartan_defect_lists_no_words_without_a_face(monkeypatch):
-    # a defect dimension outside [0, n] returns before the i + 1 words are listed
+    # a defect dimension outside [0, n] returns before any word is listed: at i = 10^6 the
+    # squared product alone would list floor((i+2)^2/4) words
     def no_words(i):
-        raise AssertionError("product-of-squares words listed")
+        raise AssertionError("defect words listed")
 
     monkeypatch.setattr(cartan.cochains, "square_surjections", no_words)
+    monkeypatch.setattr(cartan.cochains, "squared_product_surjections", no_words)
     a = delta(Cochain(2, 0, [(0,)]))
     assert cartan_defect(5, a, a) == Cochain(2, -1)
     assert cartan_defect(100, a, a) == Cochain(2, -96)
+    assert cartan_defect(10**6, a, a) == Cochain(2, 4 - 10**6)
 
 
 def test_witness_value_matches_the_printed_monomial():

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 import cartan.cochains
 from cartan.cochains import (Cochain, _act_cochain, _cut_plans, cartan_coboundary,
                              cartan_defect, cup, cup_surjections, delta, ones,
-                             square_surjections, steenrod_square, witness_surjections)
+                             square_surjections, squared_product_surjections,
+                             steenrod_square, witness_surjections)
 from cartan.simplicial import faces_of_dim
 
 from oracles import (act_reference, brute_cut_plans, cup_i_reference, delta_reference,
@@ -240,8 +241,9 @@ def test_one_object_in_several_slots_acts_as_equal_copies(iab):
         witness_surjections, i, (a, copy(a), b, copy(b)), dim)
     assert cartan_coboundary(i, a, a) == _act_cochain(
         witness_surjections, i, (a, copy(a), copy(a), copy(a)), 4 * a.dim - i - 1)
-    assert _act_cochain(square_surjections, i, (a, a, b, b), dim + 1) == _act_cochain(
-        square_surjections, i, (a, copy(a), b, copy(b)), dim + 1)
+    for words in (square_surjections, squared_product_surjections):
+        assert _act_cochain(words, i, (a, a, b, b), dim + 1) == _act_cochain(
+            words, i, (a, copy(a), b, copy(b)), dim + 1)
 
 
 def test_plans_with_one_set_of_tests_cancel():
@@ -313,10 +315,10 @@ def test_zero_input_scans_no_face(monkeypatch):
 
 
 def test_cut_plans_match_the_brute_force_cuts():
-    # every word of the witness, square and cup families for small i, at every
-    # dimension vector up to a bound, on the one m whose cuts can fit and its neighbours
-    families = [(witness_surjections, 4, 4, 2), (square_surjections, 4, 4, 2),
-                (cup_surjections, 2, 6, 4)]
+    # every word of the witness, squared-product, square and cup families for small i, at
+    # every dimension vector up to a bound, on the one m whose cuts can fit and its neighbours
+    families = [(witness_surjections, 4, 4, 2), (squared_product_surjections, 4, 4, 2),
+                (square_surjections, 4, 4, 2), (cup_surjections, 2, 6, 4)]
     nonempty = 0
     for words, r, max_i, max_dim in families:
         for i in range(max_i + 1):
