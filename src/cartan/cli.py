@@ -38,7 +38,7 @@ COCYCLE = 4
 DEFAULT_MAX_N = 6
 # largest value CARTAN_MAX_N may take: at ambient 16 the slowest calls on dense random
 # coboundaries took 1.3 s (sq --k 3 of an 8-cocycle), 0.6 s (zeta --i 4 of a 1- and a
-# 7-cocycle) and 1.1 s (defect --i 5 of a 0- and an 8-cocycle; 0.9 s for defect --i 12
+# 7-cocycle) and 1.1 s (defect --i 5 of a 0- and an 8-cocycle; 0.8 s for defect --i 12
 # of two 7-cocycles), at most 150 MB each, on one shared 2-core VM; the cocycle check's
 # delta keeps one coface mask per support face, with one bit per coface met so far, at
 # most C(n+1, d+2); a dense cocycle meets nearly all of them (30 MB of masks for a dense

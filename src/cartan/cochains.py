@@ -22,12 +22,15 @@ Every action runs through one guarded entry, `_act_cochain`, which
 works plan by plan rather than face by face.  Each cut plan is a
 conjunction of tests (slot, positions), and each test filters the
 target faces that passed the plan's earlier tests in one C-level pass.
-An action's plans are compiled once per shape (words, dimensions,
-slots, m) into a schedule: the prefix tree of their sorted tests, so
-plans that begin with the same tests, and slots that hold the same
-cochain, filter once.  Each node records whether an odd number of
-plans end there, since plans with the same tests cancel.  A face is in
-the result when an odd number of plans keep it.  The schedules are
+An action's plans are compiled once per shape (words, i, dimensions,
+slots, m) into a schedule: the prefix tree of their tests in
+shared-first order.  Each plan's tests are ordered by how many of the
+shape's plans contain them, most first, so the tests that most plans
+share sit nearest the root and filter the m-faces once for all of
+them; slots that hold the same cochain test it once.  Each node
+records whether an odd number of plans end there, since plans with
+the same tests cancel.  A face is in the result when an odd number of
+plans keep it.  The schedules, and the m-face lists they filter, are
 memoized for as long as the `_cut_plans` cache holds.
 
 The coboundary is bit-parallel.  `delta` numbers the (d+1)-faces of
@@ -37,8 +40,8 @@ bit at the number of each of its cofaces.  `delta` XORs the masks of
 the support faces and decodes the set bits of the result into faces,
 so a cocycle costs one dictionary lookup and one XOR per support face
 and decodes nothing.  Masks and numbers are memoized per (ambient,
-dim) on first use, so the memo grows with the faces `delta` has met,
-not with the number of faces of the simplex.
+dim) on first use by a nonzero cochain, so the memo grows with the
+faces `delta` has met, not with the number of faces of the simplex.
 
 Cochains that this module builds itself (the results of the action,
 `delta` and `+`) skip the validation that the public constructor and
@@ -51,6 +54,7 @@ input order, whatever the hash seed.
 from __future__ import annotations
 
 import reprlib
+from collections import Counter
 from functools import lru_cache, reduce
 from itertools import chain, compress, zip_longest
 from operator import itemgetter, lt, xor
@@ -236,8 +240,12 @@ def delta(a: Cochain) -> Cochain:
 
     XORs the memoized coface masks of the support faces, and decodes
     the set bits of the result into faces; a cocycle decodes nothing.
+    A zero cochain returns zero before the memo is read, so a dimension
+    outside the simplex, as of an out-of-range witness, adds no key.
     """
     n, dim = a.ambient, a.dim
+    if not a.support:
+        return Cochain._built(n, dim + 1, frozenset())
     memo = _COFACES.get((n, dim))
     if memo is None:
         memo = _COFACES[n, dim] = _coface_memo(n)
@@ -301,19 +309,24 @@ def _cut_plans(seq: tuple[int, ...], dims: tuple[int, ...], m: int):
 
 
 def _schedule(key: tuple) -> tuple:
-    """The cut plans of (words, dims, slots, m) as a prefix tree of tests, cancelled in pairs.
+    """The cut plans of (words, i, dims, slots, m) as a prefix tree of tests, shared first.
 
-    A plan becomes its sorted set of tests (slot, positions); plans with
-    one set of tests act alike, so only the sets met an odd number of
-    times remain.  A node is (slot, getter of the positions, whether a
-    remaining set ends here, child nodes), and a subtree in which no set
-    ends is never built.
+    A plan becomes its set of tests (slot, positions); plans with one
+    set of tests act alike, so only the sets met an odd number of times
+    remain.  Each set is ordered by how many remaining sets contain a
+    test, most first, ties by the test itself, so the tests most plans
+    share sit nearest the root and filter the faces once for all of
+    them.  A node is (slot, getter of the positions, whether a
+    remaining set ends here, child nodes), and a subtree in which no
+    set ends is never built.  `words(i)` is only built here, so an
+    action looks its schedule up without hashing the words.
     """
-    words, dims, slots, m = key
-    odd = F2Sum(tuple(sorted(set(zip(slots, plan))))
-                for s in words for plan in _cut_plans(s, dims, m))
+    words, i, dims, slots, m = key
+    odd = F2Sum(frozenset(zip(slots, plan)) for s in words(i) for plan in _cut_plans(s, dims, m))
+    shared = Counter(chain.from_iterable(odd))
     trie: dict = {}
-    for *path, last in odd:
+    for tests in odd:
+        *path, last = sorted(tests, key=lambda t: (-shared[t], t))
         node = trie
         for test in path:
             node = node.setdefault(test, [False, {}])[1]
@@ -327,19 +340,26 @@ def _schedule(key: tuple) -> tuple:
     return freeze(trie)
 
 
-# (words, dims, slots, m) -> schedule of `_act_cochain`, built from `_cut_plans` on first use
+# (words, i, dims, slots, m) -> schedule of `_act_cochain`, built from `_cut_plans` on first use
 _SCHEDULES = _Memo(_schedule)
+# (n, m) -> the m-faces of the n-simplex that `_act_cochain` walks, emptied with `_SCHEDULES`
+_FACES = _Memo(lambda key: faces_of_dim(*key))
 
 
 def _walk(nodes: tuple, passed: list, contains: list, out: set) -> None:
-    """Filter `passed` through each node's test, and toggle the faces kept where a set ends."""
+    """Filter `passed` through each node's test, and toggle the faces kept where a set ends.
+
+    A node with no children is a set's end, so it toggles what its
+    test keeps without listing it.
+    """
     for slot, get, ends, kids in nodes:
-        kept = list(compress(passed, map(contains[slot], map(get, passed))))
-        if kept:
+        kept = compress(passed, map(contains[slot], map(get, passed)))
+        if not kids:
+            out.symmetric_difference_update(kept)
+        elif kept := list(kept):
             if ends:
                 out.symmetric_difference_update(kept)
-            if kids:
-                _walk(kids, kept, contains, out)
+            _walk(kids, kept, contains, out)
 
 
 def _alt(x: int, y: int, length: int) -> tuple[int, ...]:
@@ -425,10 +445,12 @@ def _act_cochain(words, i: int, cochains, dim: int) -> Cochain:
     slot, and passes a plan when it passes every test of the plan.  The
     slot of a cochain is the first one that holds the same object, so
     the plans of (a, a, b, b) or of a cup of a with itself test each
-    support under one name.  The plans are compiled once per (words,
-    dims, slots, dim) into a `_schedule`, which lives as long as the
-    `_cut_plans` cache: the memo is emptied when that cache is found
-    empty.  Each node of the schedule filters, in one pass of
+    support under one name.  The plans are compiled once per (words, i,
+    dims, slots, dim) into a `_schedule`, keyed by the function `words`
+    itself, which must give the same words for the same i; the
+    dim-faces of the simplex are listed once per (n, dim) in `_FACES`.
+    Both memos live as long as the `_cut_plans` cache: they are emptied
+    when that cache is found empty.  Each node of the schedule filters, in one pass of
     `compress`, the faces that passed its parent, and a subtree stops at
     its first empty list.  A face passes a plan at most once, so the
     result is the symmetric difference of what the plans keep.  A
@@ -443,13 +465,14 @@ def _act_cochain(words, i: int, cochains, dim: int) -> Cochain:
         return Cochain._built(n, dim, frozenset())
     if not _cut_plans.cache_info().currsize:
         _SCHEDULES.clear()
+        _FACES.clear()
     ids = [id(c) for c in cochains]
     slots = tuple(map(ids.index, ids))
-    schedule = _SCHEDULES[words(i), tuple(c.dim for c in cochains), slots, dim]
+    schedule = _SCHEDULES[words, i, tuple(c.dim for c in cochains), slots, dim]
     contains = [(frozenset(f[0] for f in c.support) if c.dim == 0 else c.support).__contains__
                 for c in cochains]
     out: set = set()
-    _walk(schedule, faces_of_dim(n, dim), contains, out)
+    _walk(schedule, _FACES[n, dim], contains, out)
     return Cochain._built(n, dim, frozenset(out))
 
 

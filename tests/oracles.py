@@ -48,9 +48,17 @@ def value(c: Cochain, face) -> int:
     return int(tuple(face) in c.support)
 
 
+def _one_word(seq: tuple[int, ...]) -> tuple:
+    return (seq,)
+
+
 def act_word(seq: tuple[int, ...], cochains, dim: int) -> Cochain:
-    """The one word `seq` acting on the cochains, as a whole dim-cochain."""
-    return _act_cochain(lambda _: (seq,), 0, cochains, dim)
+    """The one word `seq` acting on the cochains, as a whole dim-cochain.
+
+    The word stands in the place of the index, so each word has one
+    schedule per shape, as each index of a family does.
+    """
+    return _act_cochain(_one_word, seq, cochains, dim)
 
 
 def all_faces(n: int) -> list[tuple[int, ...]]:

@@ -1,20 +1,22 @@
 """The plan-major cochain evaluator and delta against the per-face references in `oracles`."""
 
 import random
+from collections import Counter
 from itertools import product
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cartan.cochains
-from cartan.cochains import (Cochain, _act_cochain, _cut_plans, cartan_coboundary,
-                             cartan_defect, cup, cup_surjections, delta, ones,
-                             square_surjections, squared_product_surjections,
-                             steenrod_square, witness_surjections)
+from cartan.cochains import (Cochain, _act_cochain, _cut_plans, _defect_surjections,
+                             _schedule, cartan_coboundary, cartan_defect, cup,
+                             cup_surjections, delta, ones, square_surjections,
+                             squared_product_surjections, steenrod_square,
+                             witness_surjections)
 from cartan.simplicial import faces_of_dim
 
-from oracles import (act_reference, brute_cut_plans, cup_i_reference, delta_reference,
-                     squares_reference)
+from oracles import (act_reference, brute_cut_plans, cup_i_reference, defect_reference,
+                     delta_reference, odd_terms, squares_reference)
 
 KINDS = ("zero", "sparse", "dense")
 
@@ -136,6 +138,18 @@ def test_delta_memo_fills_on_first_use(monkeypatch):
         masks, cofaces = cartan.cochains._COFACES[n, d]
         assert len(masks) == len(a.support)
         assert len(cofaces) <= len(a.support) * (n - d)
+
+
+def test_delta_of_zero_adds_no_memo_key(monkeypatch):
+    # an out-of-range defect takes delta of a zero witness of negative dimension; that
+    # must not leave an (ambient, dim) key behind for every index it is called with
+    monkeypatch.setattr(cartan.cochains, "_COFACES", {})
+    a = delta(Cochain(2, 0, [(0,)]))
+    delta(a)
+    keys = set(cartan.cochains._COFACES)
+    for i in range(10**6, 10**6 + 3):
+        assert cartan_defect(i, a, a) == Cochain(2, 4 - i)
+    assert set(cartan.cochains._COFACES) == keys
 
 
 @settings(deadline=None, max_examples=30)
@@ -304,6 +318,8 @@ def test_zero_input_scans_no_face(monkeypatch):
         raise AssertionError("faces listed for a zero operand")
 
     monkeypatch.setattr(cartan.cochains, "faces_of_dim", no_faces)
+    monkeypatch.setattr(cartan.cochains, "_FACES",
+                        cartan.cochains._Memo(lambda key: no_faces(*key)))
     a = Cochain(6, 1, [(0, 1), (1, 2), (2, 5)])
     zero = Cochain(6, 1)
     for i in range(3):
@@ -334,15 +350,98 @@ def test_cut_plans_match_the_brute_force_cuts():
 
 def test_schedules_live_as_long_as_the_cut_plans():
     # a schedule is built from the cut plans, so emptying their cache rebuilds it
-    schedules = cartan.cochains._SCHEDULES
+    # and so are the face lists the schedules filter
+    schedules, faces = cartan.cochains._SCHEDULES, cartan.cochains._FACES
     rng = random.Random(8)
     a, b = (make_cochain(rng, 6, 2, "dense") for _ in range(2))
     _cut_plans.cache_clear()
     expected = cup(1, a, b)
     first, = schedules.values()
+    listed, = faces.values()
+    assert listed == faces_of_dim(6, 3)
     assert cup(1, a, b) == expected and _cut_plans.cache_info().misses == 1
     assert next(iter(schedules.values())) is first
+    assert next(iter(faces.values())) is listed
     _cut_plans.cache_clear()
     assert cup(1, a, b) == expected and _cut_plans.cache_info().misses == 1
     rebuilt, = schedules.values()
     assert rebuilt is not first
+    relisted, = faces.values()
+    assert relisted is not listed
+
+
+def tree_nodes(nodes: tuple) -> int:
+    return sum(1 + tree_nodes(kids) for _, _, _, kids in nodes)
+
+
+def end_sets(nodes: tuple, top: tuple, path: frozenset = frozenset()):
+    """The tests on the path to each node marked as an end, one set per such node.
+
+    A getter applied to the face (0, 1, ..., m) returns its positions,
+    a bare int for one position.
+    """
+    for slot, get, ends, kids in nodes:
+        positions = get(top)
+        here = path | {(slot, positions if isinstance(positions, tuple) else (positions,))}
+        if ends:
+            yield here
+        yield from end_sets(kids, top, here)
+
+
+def lexicographic_nodes(sets) -> int:
+    """Nodes of the prefix tree of the sets' sorted tests: one per distinct prefix."""
+    return len({tuple(sorted(t))[:k] for t in sets for k in range(1, len(t) + 1)})
+
+
+def action_shapes():
+    """(words, i, dims, slots, m) of every witness and defect action with i <= 5, dims <= 3.
+
+    The slots are those of (a, a, b, b), and of (a, a, a, a) when the
+    dimensions agree.
+    """
+    for words, shift in ((witness_surjections, -1), (_defect_surjections, 0)):
+        for i, p, q in product(range(6), range(4), range(4)):
+            m = 2 * p + 2 * q - i + shift
+            for slots in ((0, 0, 2, 2),) + (((0, 0, 0, 0),) if p == q else ()):
+                if m >= 0:
+                    yield words, i, (p, p, q, q), slots, m
+
+
+def test_schedules_end_once_per_odd_set_and_share_first():
+    # each set of tests met an odd number of times ends at exactly one node, and the
+    # shared-first tree never has more nodes than the prefix tree of sorted tests
+    shapes = smaller = 0
+    for key in action_shapes():
+        words, i, dims, slots, m = key
+        odd = odd_terms(frozenset(zip(slots, plan))
+                        for s in words(i) for plan in _cut_plans(s, dims, m))
+        tree = _schedule(key)
+        ends = Counter(end_sets(tree, tuple(range(m + 1))))
+        assert set(ends) == odd and set(ends.values()) <= {1}, key
+        nodes, lexicographic = tree_nodes(tree), lexicographic_nodes(odd)
+        assert nodes <= lexicographic, (key, nodes, lexicographic)
+        shapes += bool(odd)
+        smaller += nodes < lexicographic
+    assert shapes > 80 and smaller > 60, (shapes, smaller)
+
+
+def test_reordered_schedules_match_the_references_on_dense_coboundaries():
+    # every cartan-warm cell at n = 8 and 9 with i <= 5: the witness against the reference
+    # loop, the defect's one action against the squared product by the closed cup-i formula
+    # plus the literal product of squares, and the defect against the literal defect
+    rng = random.Random(18)
+    witnesses = nonzero = 0
+    for n, i in product((8, 9), range(6)):
+        for p, q in product(range(1, n + 1), repeat=2):
+            dim = 2 * (p + q) - i
+            if not 1 <= dim <= n:
+                continue
+            a, b = (delta(make_cochain(rng, n, d - 1, "dense")) for d in (p, q))
+            witness = check_witness(i, a, b)
+            words = _act_cochain(_defect_surjections, i, (a, a, b, b), dim)
+            ab = cup_i_reference(0, a, b)
+            assert words == cup_i_reference(i, ab, ab) + squares_reference(i, a, b)
+            assert cartan_defect(i, a, b) == defect_reference(i, a, b) == delta(witness) + words
+            witnesses += not witness.is_zero
+            nonzero += not words.is_zero
+    assert witnesses > 30 and nonzero > 20, (witnesses, nonzero)
