@@ -17,8 +17,15 @@ as a whole cochain.  The coboundary of the witness is taken on the
 cochain, not folded into the words, so a zero defect still checks the
 witness words against the other two families; the relation between
 the three families of words is checked on its own, with no cochain.
+A defect call checks that its inputs are cocycles on the XOR of their
+coface masks, prepares (a, a, b, b) once for both of its actions, and
+builds one result set: the faces of the witness's coboundary, toggled
+by the second action's walk.
 
-Every action runs through one guarded entry, `_act_cochain`, which
+Every action runs through one guarded entry, `_act_cochain`, on
+operands that `_operands` prepares once per public call: the ambient
+check, the zero-operand exit, the lifetime check of the memos below,
+and each operand's dimension, slot and membership test.  The entry
 works plan by plan rather than face by face.  Each cut plan is a
 conjunction of tests (slot, positions), and each test filters the
 target faces that passed the plan's earlier tests in one C-level pass.
@@ -36,15 +43,17 @@ memoized for as long as the `_cut_plans` cache holds.
 The coboundary is bit-parallel.  `delta` numbers the (d+1)-faces of
 the n-simplex in the order it first meets them as cofaces f + {v} of
 a support face f; the coface mask of a d-face is the integer with a
-bit at the number of each of its cofaces.  `delta` XORs the masks of
-the support faces and decodes the set bits of the result into faces,
-so a cocycle costs one dictionary lookup and one XOR per support face
-and decodes nothing.  Masks and numbers are memoized per (ambient,
-dim) on first use by a nonzero cochain, so the memo grows with the
-faces `delta` has met, not with the number of faces of the simplex.
+bit at the number of each of its cofaces.  `_coboundary_bits` XORs
+the masks of the support faces, and `delta` decodes the set bits of
+the result into faces, so a cocycle costs one dictionary lookup and
+one XOR per support face and decodes nothing; a cocycle check tests
+the XOR itself and builds no cochain.  Masks and numbers are memoized
+per (ambient, dim) on first use by a nonzero cochain, so the memo
+grows with the faces `delta` has met, not with the number of faces of
+the simplex.
 
-Cochains that this module builds itself (the results of the action,
-`delta` and `+`) skip the validation that the public constructor and
+Cochains that this module builds itself (the results of the action
+and of `delta` and `+`) skip the validation that the public constructor and
 `Cochain.from_dict` apply to outside input.  That validation checks
 every face before any face is hashed, so an unhashable vertex is
 reported like any other bad vertex, and names the first bad face in
@@ -235,23 +244,36 @@ def _bits(x: int):
 _COFACES: dict = {}
 
 
+def _coboundary_bits(c: Cochain) -> int:
+    """The XOR of the coface masks of the support faces: zero exactly for a cocycle.
+
+    Bit k stands for the k-th coface in `_COFACES[ambient, dim]`.  A
+    zero cochain returns 0 before the memo is read, so a dimension
+    outside the simplex, as of an out-of-range witness, adds no key.
+    """
+    if not c.support:
+        return 0
+    memo = _COFACES.get((c.ambient, c.dim))
+    if memo is None:
+        memo = _COFACES[c.ambient, c.dim] = _coface_memo(c.ambient)
+    return reduce(xor, map(memo[0].__getitem__, c.support), 0)
+
+
+def _coboundary_faces(c: Cochain):
+    """The faces of delta c, decoded from the set bits of `_coboundary_bits(c)`."""
+    x = _coboundary_bits(c)
+    return map(_COFACES[c.ambient, c.dim][1].__getitem__, _bits(x)) if x else ()
+
+
 def delta(a: Cochain) -> Cochain:
     """Simplicial coboundary: parity of codimension-one subfaces in the support.
 
-    XORs the memoized coface masks of the support faces, and decodes
-    the set bits of the result into faces; a cocycle decodes nothing.
-    A zero cochain returns zero before the memo is read, so a dimension
-    outside the simplex, as of an out-of-range witness, adds no key.
+    The bit-mask engine: `_coboundary_bits(a)` XORs the memoized coface
+    masks of the support faces, and the set bits of the result are
+    decoded into faces, so a cocycle decodes nothing.  A zero cochain
+    returns zero before the memo is read.
     """
-    n, dim = a.ambient, a.dim
-    if not a.support:
-        return Cochain._built(n, dim + 1, frozenset())
-    memo = _COFACES.get((n, dim))
-    if memo is None:
-        memo = _COFACES[n, dim] = _coface_memo(n)
-    masks, cofaces = memo
-    x = reduce(xor, map(masks.__getitem__, a.support), 0)
-    return Cochain._built(n, dim + 1, frozenset(map(cofaces.__getitem__, _bits(x))))
+    return Cochain._built(a.ambient, a.dim + 1, frozenset(_coboundary_faces(a)))
 
 
 @lru_cache(maxsize=None)
@@ -432,47 +454,61 @@ def _defect_surjections(i: int) -> tuple:
     return squared_product_surjections(i) + square_surjections(i)
 
 
-def _act_cochain(words, i: int, cochains, dim: int) -> Cochain:
-    """Sum of the surjections `words(i)` acting on cochains of one simplex, as a dim-cochain.
+def _operands(cochains) -> tuple:
+    """One call's operands, prepared once for all its actions: (n, dims, slots, contains).
 
-    The one entry for every action.  It rejects cochains of different
-    simplices, and returns zero before `words(i)` is built when the
-    simplex has no dim-face, and before any face is listed when an
-    operand is zero, since the action is multilinear.  Otherwise it
-    keeps the dim-faces on which an odd number of the words' cut plans
-    pass.  A face passes a test (slot, positions) when its vertices at
-    those positions form a face in the support of the cochain in that
-    slot, and passes a plan when it passes every test of the plan.  The
-    slot of a cochain is the first one that holds the same object, so
-    the plans of (a, a, b, b) or of a cup of a with itself test each
-    support under one name.  The plans are compiled once per (words, i,
-    dims, slots, dim) into a `_schedule`, keyed by the function `words`
-    itself, which must give the same words for the same i; the
-    dim-faces of the simplex are listed once per (n, dim) in `_FACES`.
-    Both memos live as long as the `_cut_plans` cache: they are emptied
-    when that cache is found empty.  Each node of the schedule filters, in one pass of
-    `compress`, the faces that passed its parent, and a subtree stops at
-    its first empty list.  A face passes a plan at most once, so the
-    result is the symmetric difference of what the plans keep.  A
-    getter of one position returns a bare vertex rather than a 1-tuple,
-    which happens exactly for dimension-0 cochains, so their support is
-    keyed by vertex.
+    Rejects cochains of different simplices.  When an operand is zero,
+    `contains` is None and the rest is not prepared, since every action
+    on the operands is zero.  Otherwise this is the one point of a call
+    that checks the lifetime of the memos: `_SCHEDULES` and `_FACES` are
+    emptied when the `_cut_plans` cache is found empty.  The slot of a
+    cochain is the first one that holds the same object, so (a, a, b, b)
+    or a cup of a with itself tests each support under one name, and
+    `contains` holds each operand's membership test.  A dimension-0 support
+    is keyed by vertex, since a getter of one position returns a bare
+    vertex rather than a 1-tuple.
     """
     n = cochains[0].ambient
-    if any(c.ambient != n for c in cochains):
-        raise ValueError("cochains live on different simplices")
-    if not 0 <= dim <= n or not all(c.support for c in cochains):
-        return Cochain._built(n, dim, frozenset())
+    for c in cochains:
+        if c.ambient != n:
+            raise ValueError("cochains live on different simplices")
+    for c in cochains:
+        if not c.support:
+            return n, None, None, None
     if not _cut_plans.cache_info().currsize:
         _SCHEDULES.clear()
         _FACES.clear()
     ids = [id(c) for c in cochains]
-    slots = tuple(map(ids.index, ids))
-    schedule = _SCHEDULES[words, i, tuple(c.dim for c in cochains), slots, dim]
     contains = [(frozenset(f[0] for f in c.support) if c.dim == 0 else c.support).__contains__
                 for c in cochains]
-    out: set = set()
-    _walk(schedule, _FACES[n, dim], contains, out)
+    return n, tuple([c.dim for c in cochains]), tuple(map(ids.index, ids)), contains
+
+
+def _act_cochain(words, i: int, operands: tuple, dim: int, plus=()) -> Cochain:
+    """The faces `plus` and the surjections `words(i)` acting on `_operands`, as a dim-cochain.
+
+    The one entry for every action.  It returns `plus` before `words(i)`
+    is built when the simplex has no dim-face or an operand is zero,
+    since the action is multilinear.  Otherwise it toggles, in a copy of
+    `plus`, the dim-faces on which an odd number of the words' cut plans
+    pass.
+    A face passes a test (slot, positions) when its vertices at those
+    positions form a face in the support of the cochain in that slot,
+    and passes a plan when it passes every test of the plan.  The plans
+    are compiled once per (words, i, dims, slots, dim) into a
+    `_schedule`, keyed by the function `words` itself, which must give
+    the same words for the same i; the dim-faces of the simplex are
+    listed once per (n, dim) in `_FACES`.  Both memos live as long as
+    the `_cut_plans` cache, which `_operands` checks.  Each node of the
+    schedule filters, in one pass of `compress`, the faces that passed
+    its parent, and a subtree stops at its first empty list.  A face
+    passes a plan at most once, so the result is the symmetric
+    difference of what the plans keep.
+    """
+    n, dims, slots, contains = operands
+    out = set(plus)
+    if contains is not None and 0 <= dim <= n:
+        _walk(_SCHEDULES[words, i, dims, slots, dim], _FACES[n, dim], contains, out)
     return Cochain._built(n, dim, frozenset(out))
 
 
@@ -480,13 +516,16 @@ def cup(i: int, a: Cochain, b: Cochain) -> Cochain:
     """Cup-i product of two cochains on the same simplex."""
     if i < 0:
         raise ValueError("cup index must be nonnegative")
-    return _act_cochain(cup_surjections, i, (a, b), a.dim + b.dim - i)
+    return _act_cochain(cup_surjections, i, _operands((a, b)), a.dim + b.dim - i)
 
 
 def steenrod_square(k: int, a: Cochain) -> Cochain:
-    """Chain-level k-th Steenrod square: cup-(dim - k) of a cochain with itself."""
+    """Chain-level k-th Steenrod square: cup-(dim - k) of a cochain with itself.
+
+    Zero for k < 0 and k > dim, with no action compiled.
+    """
     m = a.dim
-    if k > m:
+    if not 0 <= k <= m:
         return Cochain(a.ambient, m + k, ())
     return cup(m - k, a, a)
 
@@ -499,19 +538,27 @@ def cartan_coboundary(i: int, a: Cochain, b: Cochain) -> Cochain:
     """
     if i < 0:
         raise ValueError("witness index must be nonnegative")
-    return _act_cochain(witness_surjections, i, (a, a, b, b), 2 * a.dim + 2 * b.dim - i - 1)
+    return _act_cochain(witness_surjections, i, _operands((a, a, b, b)),
+                        2 * a.dim + 2 * b.dim - i - 1)
 
 
 def cartan_defect(i: int, a: Cochain, b: Cochain) -> Cochain:
     """delta(witness) + (a cup_0 b) cup_i (a cup_0 b) + sum of (a cup_j a) cup_0 (b cup_k b).
 
-    Zero for cocycle inputs; non-cocycles are rejected.  The last two
-    terms are one action on (a, a, b, b): the words of
+    Zero for cocycle inputs; non-cocycles are rejected by the XOR of
+    their coface masks, before any action.  The operands (a, a, b, b)
+    are prepared once for two actions: the witness, and the words of
     `squared_product_surjections(i)` and `square_surjections(i)`.  The
     coboundary of the witness is taken on the cochain, not folded into
-    the words, so a zero defect checks the witness against these words.
+    the words, so a zero defect checks the witness against these words;
+    its faces seed the set that the second action toggles, so the
+    result is built as one cochain.
     """
-    if not delta(a).is_zero or not delta(b).is_zero:
+    if _coboundary_bits(a) or _coboundary_bits(b):
         raise ValueError("inputs must be cocycles")
-    out = delta(cartan_coboundary(i, a, b))
-    return out + _act_cochain(_defect_surjections, i, (a, a, b, b), out.dim)
+    if i < 0:
+        raise ValueError("witness index must be nonnegative")
+    operands = _operands((a, a, b, b))
+    dim = 2 * a.dim + 2 * b.dim - i
+    witness = _act_cochain(witness_surjections, i, operands, dim - 1)
+    return _act_cochain(_defect_surjections, i, operands, dim, _coboundary_faces(witness))

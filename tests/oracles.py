@@ -21,15 +21,15 @@ degeneracy operators one index at a time, where the package walks its
 shuffles directly.
 Two helpers are not references: `value` reads a cochain on one face,
 and `act_word` runs one surjection word as a whole action through the
-package's one action entry, `_act_cochain`, so the tests can compare
-it face by face with `brute_surjection_value`.
+package's one action entry, `_act_cochain` on the `_operands` bundle,
+so the tests can compare it face by face with `brute_surjection_value`.
 """
 
 from collections import Counter
 from itertools import chain, combinations, combinations_with_replacement
 
-from cartan.cochains import (Cochain, _act_cochain, _cut_plans, cartan_coboundary, cup,
-                             delta, witness_surjections)
+from cartan.cochains import (Cochain, _act_cochain, _cut_plans, _operands, cartan_coboundary,
+                             cup, delta, witness_surjections)
 from cartan.f2 import F2Sum
 from cartan.simplicial import factors, faces_of_dim, is_degenerate
 
@@ -58,7 +58,7 @@ def act_word(seq: tuple[int, ...], cochains, dim: int) -> Cochain:
     The word stands in the place of the index, so each word has one
     schedule per shape, as each index of a family does.
     """
-    return _act_cochain(_one_word, seq, cochains, dim)
+    return _act_cochain(_one_word, seq, _operands(cochains), dim)
 
 
 def all_faces(n: int) -> list[tuple[int, ...]]:

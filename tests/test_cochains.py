@@ -9,8 +9,8 @@ from cartan.barratt_eccles import (MID_SWAP4, SWAP2, cup_generator, diag_embed,
                                    diagonal_homotopy, embedding_homotopy,
                                    product_of_squares, sigma_act, squared_product)
 from cartan.cli import MAX_WITNESS_INDEX
-from cartan.cochains import (Cochain, _act_cochain, cartan_coboundary, cartan_defect, cup,
-                             cup_surjections, delta, ones, square_surjections,
+from cartan.cochains import (Cochain, _act_cochain, _cut_plans, _operands, cartan_coboundary,
+                             cartan_defect, cup, cup_surjections, delta, ones, square_surjections,
                              squared_product_surjections, steenrod_square,
                              witness_surjections)
 from cartan.f2 import ZERO, F2Sum, singleton
@@ -241,6 +241,12 @@ def test_steenrod_square_conventions():
     assert steenrod_square(0, a) == cup(1, a, a)
     overflow = steenrod_square(3, a)
     assert overflow.is_zero and overflow.dim == 4
+    # a negative index is zero in dimension dim a + k too, returned before any cut plan
+    _cut_plans.cache_clear()
+    assert steenrod_square(-1, a) == Cochain(2, 0)
+    assert steenrod_square(-2, a) == Cochain(2, -1)
+    assert _cut_plans.cache_info().misses == 0
+    assert cup(2, a, a) == Cochain(2, 0)
 
 
 def test_witness_surjection_cache():
@@ -317,7 +323,7 @@ def test_squared_product_words_act_as_the_closed_cup_formula():
                 b = random_cochain(rng, n, rng.randrange(3))
                 ab = cup_i_reference(0, a, b)
                 want = cup_i_reference(i, ab, ab)
-                got = _act_cochain(squared_product_surjections, i, (a, a, b, b),
+                got = _act_cochain(squared_product_surjections, i, _operands((a, a, b, b)),
                                    2 * a.dim + 2 * b.dim - i)
                 assert got == want, (n, i, a, b)
                 nonzero += not want.is_zero
@@ -388,9 +394,15 @@ def test_cartan_defect_constant_inputs():
 
 
 def test_cartan_defect_rejects_non_cocycles():
-    a = Cochain(2, 1, [(0, 1)])
-    with pytest.raises(ValueError):
-        cartan_defect(0, a, a)
+    # in either place, before any action is compiled, where the witness and the
+    # defect dimensions both lie in the simplex
+    a = Cochain(4, 1, [(0, 1)])
+    c = delta(Cochain(4, 0, [(1,)]))
+    _cut_plans.cache_clear()
+    for x, y in ((a, a), (a, c), (c, a)):
+        with pytest.raises(ValueError, match="cocycles"):
+            cartan_defect(0, x, y)
+    assert _cut_plans.cache_info().misses == 0
 
 
 def test_witness_restriction_naturality():

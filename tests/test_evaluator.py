@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import cartan.cochains
 from cartan.cochains import (Cochain, _act_cochain, _cut_plans, _defect_surjections,
-                             _schedule, cartan_coboundary, cartan_defect, cup,
+                             _operands, _schedule, cartan_coboundary, cartan_defect, cup,
                              cup_surjections, delta, ones, square_surjections,
                              squared_product_surjections, steenrod_square,
                              witness_surjections)
@@ -252,12 +252,12 @@ def test_one_object_in_several_slots_acts_as_equal_copies(iab):
     assert cup(i, a, a) == cup(i, a, copy(a))
     dim = 2 * a.dim + 2 * b.dim - i - 1
     assert cartan_coboundary(i, a, b) == _act_cochain(
-        witness_surjections, i, (a, copy(a), b, copy(b)), dim)
+        witness_surjections, i, _operands((a, copy(a), b, copy(b))), dim)
     assert cartan_coboundary(i, a, a) == _act_cochain(
-        witness_surjections, i, (a, copy(a), copy(a), copy(a)), 4 * a.dim - i - 1)
+        witness_surjections, i, _operands((a, copy(a), copy(a), copy(a))), 4 * a.dim - i - 1)
     for words in (square_surjections, squared_product_surjections):
-        assert _act_cochain(words, i, (a, a, b, b), dim + 1) == _act_cochain(
-            words, i, (a, copy(a), b, copy(b)), dim + 1)
+        assert _act_cochain(words, i, _operands((a, a, b, b)), dim + 1) == _act_cochain(
+            words, i, _operands((a, copy(a), b, copy(b))), dim + 1)
 
 
 def test_plans_with_one_set_of_tests_cancel():
@@ -270,7 +270,7 @@ def test_plans_with_one_set_of_tests_cancel():
         d = a.dim
         top = tuple(range(3 * d + 1))
         assert all(top[k * d:(k + 1) * d + 1] in a.support for k in range(3))
-        squares = _act_cochain(square_surjections, d, (a, a, a, a), 3 * d)
+        squares = _act_cochain(square_surjections, d, _operands((a, a, a, a)), 3 * d)
         assert squares == squares_reference(d, a, a)
         assert cartan_defect(d, a, a).is_zero
 
@@ -308,7 +308,8 @@ def square_inputs(draw):
 @given(square_inputs())
 def test_product_of_squares_matches_the_literal_sum(iab):
     i, a, b = iab
-    got = _act_cochain(square_surjections, i, (a, a, b, b), 2 * a.dim + 2 * b.dim - i)
+    got = _act_cochain(square_surjections, i, _operands((a, a, b, b)),
+                       2 * a.dim + 2 * b.dim - i)
     assert got == squares_reference(i, a, b)
 
 
@@ -326,7 +327,7 @@ def test_zero_input_scans_no_face(monkeypatch):
         for x, y in ((a, zero), (zero, a), (zero, zero)):
             assert cup(i, x, y) == Cochain(6, 2 - i)
             assert cartan_coboundary(i, x, y) == Cochain(6, 3 - i)
-            assert _act_cochain(square_surjections, i, (x, x, y, y), 4 - i) == (
+            assert _act_cochain(square_surjections, i, _operands((x, x, y, y)), 4 - i) == (
                 Cochain(6, 4 - i))
 
 
@@ -348,10 +349,13 @@ def test_cut_plans_match_the_brute_force_cuts():
     assert nonempty > 100
 
 
-def test_schedules_live_as_long_as_the_cut_plans():
+def test_schedules_live_as_long_as_the_cut_plans(monkeypatch):
     # a schedule is built from the cut plans, so emptying their cache rebuilds it
     # and so are the face lists the schedules filter
     schedules, faces = cartan.cochains._SCHEDULES, cartan.cochains._FACES
+    built = Counter()
+    fill = schedules.fill
+    monkeypatch.setattr(schedules, "fill", lambda key: built.update([key[0]]) or fill(key))
     rng = random.Random(8)
     a, b = (make_cochain(rng, 6, 2, "dense") for _ in range(2))
     _cut_plans.cache_clear()
@@ -368,6 +372,36 @@ def test_schedules_live_as_long_as_the_cut_plans():
     assert rebuilt is not first
     relisted, = faces.values()
     assert relisted is not listed
+    assert built == {cup_surjections: 2}
+    # one defect call prepares its operands once for both of its actions: after the
+    # cut plans are emptied it compiles the witness and the defect words once each
+    x, y = (delta(make_cochain(rng, 6, 0, "dense")) for _ in range(2))
+    for rounds in (1, 2):
+        _cut_plans.cache_clear()
+        for _ in range(2):
+            assert cartan_defect(0, x, y).is_zero
+        assert built == {cup_surjections: 2, witness_surjections: rounds,
+                         _defect_surjections: rounds}
+        assert len(schedules) == 2 and set(faces) == {(6, 3), (6, 4)}
+
+
+def test_shared_operands_match_the_literal_defect_at_the_edges():
+    # the operand bundle of (a, a, b, b) against the literal defect where it is special:
+    # one object in all four slots, a zero cocycle, a witness of dimension -1 (so no
+    # witness action), and a defect above the simplex
+    rng = random.Random(21)
+    n = 4
+    a, b = (delta(make_cochain(rng, n, d - 1, "dense")) for d in (1, 2))
+    zero = Cochain(n, 1)
+    cases = [(i, a, a) for i in range(5)]
+    cases += [(i, x, y) for i in range(3) for x, y in ((a, zero), (zero, b), (zero, zero))]
+    cases += [(2 * a.dim + 2 * b.dim, a, b), (4 * a.dim, a, a)]
+    cases += [(i, a, b) for i in (0, 1)]
+    for i, x, y in cases:
+        got = cartan_defect(i, x, y)
+        assert got == defect_reference(i, x, y), (i, x, y)
+        assert got.is_zero and got.dim == 2 * x.dim + 2 * y.dim - i
+    assert not cartan_coboundary(0, a, a).is_zero
 
 
 def tree_nodes(nodes: tuple) -> int:
@@ -438,7 +472,7 @@ def test_reordered_schedules_match_the_references_on_dense_coboundaries():
                 continue
             a, b = (delta(make_cochain(rng, n, d - 1, "dense")) for d in (p, q))
             witness = check_witness(i, a, b)
-            words = _act_cochain(_defect_surjections, i, (a, a, b, b), dim)
+            words = _act_cochain(_defect_surjections, i, _operands((a, a, b, b)), dim)
             ab = cup_i_reference(0, a, b)
             assert words == cup_i_reference(i, ab, ab) + squares_reference(i, a, b)
             assert cartan_defect(i, a, b) == defect_reference(i, a, b) == delta(witness) + words
