@@ -97,7 +97,8 @@ def read_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise CliError(PARSE, f"cannot read {path}: {exc}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad JSON, bytes that are not UTF-8 and integers too long to convert
         raise CliError(PARSE, f"{path}: {exc}") from None
 
 
@@ -182,7 +183,7 @@ def cmd_tr(args) -> int:
 def parse_surjection(text: str) -> tuple[int, ...]:
     try:
         data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError):
+    except (ValueError, RecursionError):
         raise CliError(PARSE, f"not a JSON array: {brief(text)}") from None
     if (not isinstance(data, list) or not data
             or any(not isinstance(v, int) or isinstance(v, bool) for v in data)):

@@ -241,7 +241,7 @@ def _bits(x: int):
 
 # (ambient, dim) -> (coface mask of each dim-face met so far,
 #                    (dim+1)-face of each bit handed out so far)
-_COFACES: dict = {}
+_COFACES = _Memo(lambda key: _coface_memo(key[0]))
 
 
 def _coboundary_bits(c: Cochain) -> int:
@@ -253,10 +253,7 @@ def _coboundary_bits(c: Cochain) -> int:
     """
     if not c.support:
         return 0
-    memo = _COFACES.get((c.ambient, c.dim))
-    if memo is None:
-        memo = _COFACES[c.ambient, c.dim] = _coface_memo(c.ambient)
-    return reduce(xor, map(memo[0].__getitem__, c.support), 0)
+    return reduce(xor, map(_COFACES[c.ambient, c.dim][0].__getitem__, c.support), 0)
 
 
 def _coboundary_faces(c: Cochain):
@@ -447,6 +444,7 @@ def squared_product_surjections(i: int) -> tuple:
                         for x in _turns(1, (i + 3) // 2) for y in _turns(2, (i + 2) // 2)))
 
 
+# memoized: set-up meets each i many times, and a miss rebuilds both word lists
 @lru_cache(maxsize=None)
 def _defect_surjections(i: int) -> tuple:
     """The words `cartan_defect` adds to delta of the witness: the squared product, then

@@ -1,7 +1,10 @@
 """Formal sums over the two-element field.
 
-A sum is stored as the set of basis terms with coefficient 1, so adding
-two sums is symmetric difference and every term is its own negative.
+A sum is the frozenset of its basis terms with coefficient 1: `F2Sum`
+subclasses `frozenset`, so iteration, length, truth, equality and hash
+are those of the set.
+Its one arithmetic is `+`, symmetric difference, under which every term
+is its own negative; `+` accepts only another `F2Sum`.
 A sum is built by passing an iterable of terms to `F2Sum`, which cancels
 them in pairs (a term given an odd number of times is kept once); every
 builder in the package passes it a generator.
@@ -15,16 +18,15 @@ from __future__ import annotations
 from typing import Callable, Hashable, Iterable
 
 
-class F2Sum:
+class F2Sum(frozenset):
     """A finite formal sum of basis terms with coefficients in GF(2)."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: Iterable[Hashable] = ()):
+    def __new__(cls, terms: Iterable[Hashable] = ()):
         # a frozenset has no repeats, so it is already reduced; __add__ relies on this
         if isinstance(terms, frozenset):
-            self._terms = terms
-            return
+            return super().__new__(cls, terms)
         acc: set = set()
         for t in terms:
             # flip the coefficient of t: 1 + 1 = 0
@@ -32,42 +34,19 @@ class F2Sum:
                 acc.remove(t)
             else:
                 acc.add(t)
-        self._terms = frozenset(acc)
-
-    def sorted_terms(self) -> list:
-        return sorted(self._terms)
+        return super().__new__(cls, acc)
 
     def __add__(self, other: "F2Sum") -> "F2Sum":
         if not isinstance(other, F2Sum):
             return NotImplemented
-        return F2Sum(self._terms ^ other._terms)
-
-    def __iter__(self):
-        return iter(self._terms)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, F2Sum) and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(self._terms)
+        return F2Sum(self ^ other)
 
     def __repr__(self) -> str:
-        if not self._terms:
-            return "F2Sum()"
-        return f"F2Sum({self.sorted_terms()!r})"
+        return f"F2Sum({sorted(self)!r})" if self else "F2Sum()"
 
     def map_basis(self, f: Callable[[Hashable], Iterable[Hashable]]) -> "F2Sum":
         """Apply a basis-level map (returning any iterable of terms) and cancel in pairs."""
-        return F2Sum(u for t in self._terms for u in f(t))
-
-
-ZERO = F2Sum()
+        return F2Sum(u for t in self for u in f(t))
 
 
 def singleton(term) -> F2Sum:

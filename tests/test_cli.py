@@ -89,23 +89,28 @@ def test_mismatched_operands(capsys, cochain_file):
 
 
 def test_bad_json_file(capsys, tmp_path):
-    # junk, nesting past the JSON decoder's recursion limit (in a file or in argv) and
-    # bytes that are not UTF-8 are all malformed input
+    # junk, nesting past the JSON decoder's recursion limit (in a file or in argv), bytes
+    # that are not UTF-8 and integers past Python's digit limit are all malformed input
     junk = tmp_path / "junk.json"
     junk.write_text("not json")
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000 + "]" * 100_000)
     binary = tmp_path / "binary.json"
     binary.write_bytes(b"\xff\xfe")
+    huge = "9" * 5000
+    long_int = tmp_path / "long-int.json"
+    long_int.write_text(f"[[{huge}]]")
     for argv in (("cup", "--i", "0", str(junk), str(junk)),
                  ("tr", str(deep)), ("cup", "--i", "0", str(deep), str(deep)),
                  ("tr", str(binary)), ("cup", "--i", "0", str(binary), str(binary)),
-                 ("surj-compose", "[" * 20_000 + "]" * 20_000, "1", "[1,2]")):
+                 ("surj-compose", "[" * 20_000 + "]" * 20_000, "1", "[1,2]"),
+                 ("tr", str(long_int)), ("surj-compose", f"[{huge}]", "1", "[1,2]")):
         rc = cli.main(list(argv))
         captured = capsys.readouterr()
         case = (argv[0], argv[-1][-12:])
         assert rc == 2 and captured.out == "", case
-        assert captured.err.startswith("error: "), case
+        line, = captured.err.splitlines()
+        assert line.startswith("error: "), case
 
 
 def test_error_lines_echo_a_bounded_prefix(capsys, tmp_path):

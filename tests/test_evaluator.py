@@ -129,7 +129,8 @@ def test_delta_matches_the_reference_along_a_sequence(seq):
 
 def test_delta_memo_fills_on_first_use(monkeypatch):
     # one mask per support face met and at most n - d cofaces each, not a whole (16, d) table
-    monkeypatch.setattr(cartan.cochains, "_COFACES", {})
+    memo = cartan.cochains._COFACES
+    monkeypatch.setattr(cartan.cochains, "_COFACES", cartan.cochains._Memo(memo.fill))
     rng = random.Random(5)
     n = 16
     for d in (0, 4, 8, 15):
@@ -143,7 +144,8 @@ def test_delta_memo_fills_on_first_use(monkeypatch):
 def test_delta_of_zero_adds_no_memo_key(monkeypatch):
     # an out-of-range defect takes delta of a zero witness of negative dimension; that
     # must not leave an (ambient, dim) key behind for every index it is called with
-    monkeypatch.setattr(cartan.cochains, "_COFACES", {})
+    memo = cartan.cochains._COFACES
+    monkeypatch.setattr(cartan.cochains, "_COFACES", cartan.cochains._Memo(memo.fill))
     a = delta(Cochain(2, 0, [(0,)]))
     delta(a)
     keys = set(cartan.cochains._COFACES)

@@ -1,7 +1,7 @@
 """The verification harness itself: small smoke runs plus its helpers."""
 
 from cartan.barratt_eccles import SWAP2, compose_perm, cup_generator
-from cartan.f2 import ZERO
+from cartan.f2 import F2Sum
 from cartan.verify import (IDENTITIES, LEMMA_SUITES, STRUCTURAL_SUITES,
                            VerifyReport, arity_basis, cocycle_dim_pool,
                            run_cartan, run_identities)
@@ -32,7 +32,7 @@ def test_lemma_suites_small():
 
 def test_identity_failures_name_the_identity_and_the_element(monkeypatch):
     default, cap, basis, identities = IDENTITIES["equiv-h1"]
-    wrong = ("identity-is-zero", lambda c: c, lambda c: ZERO)
+    wrong = ("identity-is-zero", lambda c: c, lambda c: F2Sum())
     monkeypatch.setitem(IDENTITIES, "equiv-h1", (default, cap, basis, identities + (wrong,)))
     report = run_identities("equiv-h1", max_degree=1)
     assert report.trials == 4
