@@ -27,7 +27,7 @@ from .cochains import (Cochain, brief, cartan_coboundary, cartan_defect, cup, de
 from .f2 import F2Sum, singleton
 from .simplicial import is_degenerate
 from .surjection import is_basis_surjection, surj_compose, table_reduction
-from .verify import IDENTITIES, LEMMA_SUITES, STRUCTURAL_SUITES, run_cartan
+from .verify import IDENTITIES, LEMMA_SUITES, STRUCTURAL_SUITES, run_cartan, run_identities
 
 OK = 0
 FAILED = 1
@@ -183,8 +183,12 @@ def cmd_tr(args) -> int:
 def parse_surjection(text: str) -> tuple[int, ...]:
     try:
         data = json.loads(text)
-    except (ValueError, RecursionError):
-        raise CliError(PARSE, f"not a JSON array: {brief(text)}") from None
+    except RecursionError:
+        # a short fixed phrase keeps the line as short as the bounded prefix it echoes
+        raise CliError(PARSE, f"{brief(text)}: nested too deep") from None
+    except ValueError as exc:
+        # as in read_json: bad JSON or an integer too long to convert
+        raise CliError(PARSE, f"{brief(text)}: {exc}") from None
     if (not isinstance(data, list) or not data
             or any(not isinstance(v, int) or isinstance(v, bool) for v in data)):
         raise CliError(PARSE, f"expected a nonempty array of integers: {brief(text)}")
@@ -235,8 +239,7 @@ def cmd_verify(args) -> int:
     else:
         _, cap, _, _ = IDENTITIES[args.suite]
         require_at_most(f"verify {args.suite}", "--max-degree", args.max_degree, cap)
-        suites = {**LEMMA_SUITES, **STRUCTURAL_SUITES}
-        report = suites[args.suite](max_degree=args.max_degree)
+        report = run_identities(args.suite, args.max_degree)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     return OK if report.ok else FAILED
 

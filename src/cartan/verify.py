@@ -12,13 +12,19 @@ degree-d element has 2^d - 1 terms.
 
 `run_cartan` is the one seeded sweep: it evaluates the Cartan defect
 on random coboundary pairs of a standard simplex.  Each suite returns a
-`VerifyReport`; an empty failure list means every check held.
+`VerifyReport`, the record `cartan verify` prints as JSON: the suite,
+its failures, the seconds it took, the sweep's i, n and seed (None for
+an identity suite), the number of trials or basis elements checked, and
+the other settings in `params`.  An identity failure names the identity and the basis
+element, a sweep failure its inputs and defect; an empty failure list
+means every check held.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from collections import namedtuple
 from functools import partial
 from itertools import permutations
 
@@ -38,38 +44,18 @@ MAX_AMBIENT = 4
 TR_ARITIES = (2, 3)
 
 
-class VerifyReport:
+class VerifyReport(namedtuple("VerifyReport", "suite failures elapsed i n trials seed params",
+                              defaults=(None, None, 0, None, None))):
     """What one suite checked, and every check that failed."""
 
-    __slots__ = ("suite", "failures", "elapsed", "i", "n", "trials", "seed", "params")
-
-    def __init__(self, suite: str, failures: list, elapsed: float, i: int | None = None,
-                 n: int | None = None, trials: int = 0, seed: int | None = None,
-                 params: dict | None = None):
-        self.suite = suite
-        self.failures = failures
-        self.elapsed = elapsed
-        self.i = i
-        self.n = n
-        self.trials = trials
-        self.seed = seed
-        self.params = {} if params is None else params
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "i": self.i,
-            "n": self.n,
-            "trials": self.trials,
-            "seed": self.seed,
-            "failures": self.failures,
-            "elapsed": round(self.elapsed, 3),
-            "params": self.params,
-        }
+        return {**self._asdict(), "elapsed": round(self.elapsed, 3)}
 
 
 # --- bases, one degree at a time ---

@@ -18,10 +18,10 @@ from hypothesis import strategies as st
 import cartan
 from cartan import cli
 from cartan.cochains import BRIEF, Cochain, cup, delta, ones
-from cartan.f2 import singleton
+from cartan.f2 import F2Sum, singleton
 from cartan.simplicial import faces_of_dim
 from cartan.surjection import surj_compose, table_reduction
-from cartan.verify import VerifyReport
+from cartan.verify import IDENTITIES
 
 
 @pytest.fixture
@@ -88,9 +88,19 @@ def test_mismatched_operands(capsys, cochain_file):
     assert rc == 3
 
 
+def decode_error(text: str) -> str:
+    """The JSON decoder's own message for malformed text."""
+    try:
+        json.loads(text)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError("the text decodes")
+
+
 def test_bad_json_file(capsys, tmp_path):
     # junk, nesting past the JSON decoder's recursion limit (in a file or in argv), bytes
-    # that are not UTF-8 and integers past Python's digit limit are all malformed input
+    # that are not UTF-8, integers past Python's digit limit and a missing file are all
+    # malformed input; where the decoder refuses an argument, its message is on the line
     junk = tmp_path / "junk.json"
     junk.write_text("not json")
     deep = tmp_path / "deep.json"
@@ -100,17 +110,28 @@ def test_bad_json_file(capsys, tmp_path):
     huge = "9" * 5000
     long_int = tmp_path / "long-int.json"
     long_int.write_text(f"[[{huge}]]")
-    for argv in (("cup", "--i", "0", str(junk), str(junk)),
-                 ("tr", str(deep)), ("cup", "--i", "0", str(deep), str(deep)),
-                 ("tr", str(binary)), ("cup", "--i", "0", str(binary), str(binary)),
-                 ("surj-compose", "[" * 20_000 + "]" * 20_000, "1", "[1,2]"),
-                 ("tr", str(long_int)), ("surj-compose", f"[{huge}]", "1", "[1,2]")):
+    brackets = "[" * 20_000 + "]" * 20_000
+    digit_limit = decode_error(f"[{huge}]")
+    assert "digits" in digit_limit
+    missing = tmp_path / "missing.json"
+    for argv, message in (
+            (("cup", "--i", "0", str(junk), str(junk)), None),
+            (("tr", str(deep)), None), (("cup", "--i", "0", str(deep), str(deep)), None),
+            (("tr", str(binary)), None), (("cup", "--i", "0", str(binary), str(binary)), None),
+            (("surj-compose", brackets, "1", "[1,2]"), "nested too deep"),
+            (("tr", str(long_int)), digit_limit),
+            (("surj-compose", f"[{huge}]", "1", "[1,2]"), digit_limit),
+            (("tr", str(missing)), f"cannot read {missing}")):
         rc = cli.main(list(argv))
         captured = capsys.readouterr()
         case = (argv[0], argv[-1][-12:])
         assert rc == 2 and captured.out == "", case
         line, = captured.err.splitlines()
         assert line.startswith("error: "), case
+        assert message is None or message in line, (case, line)
+        if argv[1] == brackets:
+            # the CI entry-point step holds this line to 100 bytes, newline included
+            assert len(captured.err.encode()) <= 100, (case, line)
 
 
 def test_error_lines_echo_a_bounded_prefix(capsys, tmp_path):
@@ -324,11 +345,15 @@ def test_tr_degenerate_input_is_zero(capsys, tmp_path):
 
 def test_tr_refuses_empty_permutations(capsys, tmp_path):
     path = tmp_path / "e.json"
-    for doc in ("[[]]", "[[],[],[]]"):
+    for doc, message in (("[[]]", "a permutation needs at least one value"),
+                         ("[[],[],[]]", "a permutation needs at least one value"),
+                         ("[]", "expected a nonempty list of permutations"),
+                         ("{}", "expected a nonempty list of permutations")):
         path.write_text(doc)
         rc = cli.main(["tr", str(path)])
         captured = capsys.readouterr()
-        assert rc == 2 and captured.out == "" and captured.err.startswith("error: "), doc
+        assert rc == 2 and captured.out == "", doc
+        assert captured.err == f"error: {message}\n", doc
 
 
 def test_surj_compose_golden(capsys):
@@ -472,12 +497,13 @@ def test_verify_refuses_flags_a_suite_does_not_use(capsys):
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):
-    monkeypatch.setitem(
-        cli.LEMMA_SUITES, "boundary-h1",
-        lambda **kw: VerifyReport("boundary-h1", [{"bad": 1}], 0.0))
-    rc, out = run(capsys, "verify", "boundary-h1")
+    default, cap, basis, identities = IDENTITIES["boundary-h1"]
+    wrong = ("identity-is-zero", lambda c: c, lambda c: F2Sum())
+    monkeypatch.setitem(IDENTITIES, "boundary-h1", (default, cap, basis, identities + (wrong,)))
+    rc, out = run(capsys, "verify", "boundary-h1", "--max-degree", "0")
     assert rc == 1
-    assert json.loads(out)["failures"] == [{"bad": 1}]
+    assert json.loads(out)["failures"] == [{"identity": "identity-is-zero", "element": [[1, 2]]},
+                                           {"identity": "identity-is-zero", "element": [[2, 1]]}]
 
 
 def run_quietly(argv) -> tuple[int, str, str]:

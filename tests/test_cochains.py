@@ -196,6 +196,10 @@ def test_cup_shape_handling():
         cup(-1, a, a)
     with pytest.raises(ValueError):
         cup(0, a, Cochain(3, 1, [(0, 1)]))
+    cocycle = delta(Cochain(2, 0, [(0,)]))
+    for witness in (cartan_coboundary, cartan_defect):
+        with pytest.raises(ValueError, match="witness index must be nonnegative"):
+            witness(-1, cocycle, cocycle)
 
 
 def test_witness_and_defect_reject_different_ambients():

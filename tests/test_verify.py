@@ -1,6 +1,11 @@
 """The verification harness itself: small smoke runs plus its helpers."""
 
+import json
+
+import cartan.verify
+from cartan import cli
 from cartan.barratt_eccles import SWAP2, compose_perm, cup_generator
+from cartan.cochains import Cochain, delta
 from cartan.f2 import F2Sum
 from cartan.verify import (IDENTITIES, LEMMA_SUITES, STRUCTURAL_SUITES,
                            VerifyReport, arity_basis, cocycle_dim_pool,
@@ -76,6 +81,25 @@ def test_run_cartan_pinned_dims():
     assert report.params == {"dims": [0, 0]}
 
 
+def test_failing_cartan_sweep_records_every_trial(capsys, monkeypatch):
+    # a defect that is never zero: the constant cocycles and every seeded trial fail,
+    # and each trial's record holds the inputs that reproduce it
+    monkeypatch.setattr(cartan.verify, "cartan_defect",
+                        lambda i, a, b: Cochain(a.ambient, 0, [(0,)]))
+    report = run_cartan(0, 3, trials=2)
+    assert not report.ok
+    constant, *trials = report.failures
+    assert constant == {"trial": "constant", "defect": {"ambient": 3, "dim": 0, "support": [[0]]}}
+    assert [f["trial"] for f in trials] == [0, 1]
+    for failure in trials:
+        assert set(failure) == {"trial", "gamma1", "gamma2", "alpha", "beta", "defect"}
+        g1, g2 = (Cochain.from_dict(failure[k]) for k in ("gamma1", "gamma2"))
+        assert failure["alpha"] == delta(g1).to_dict()
+        assert failure["beta"] == delta(g2).to_dict()
+    assert cli.main(["verify", "--i", "0", "--n", "3", "--trials", "2"]) == 1
+    assert json.loads(capsys.readouterr().out)["failures"] == report.failures
+
+
 def test_cocycle_dim_pool():
     assert cocycle_dim_pool(6, 0) == [(0, 0), (0, 1), (1, 0)]
     # nothing fits in a tiny ambient, so every pairing stays eligible
@@ -89,3 +113,5 @@ def test_report_round_trip_fields():
     assert doc["suite"] == "demo"
     assert doc["elapsed"] == 0.123
     assert doc["i"] == 2 and doc["n"] == 3 and doc["trials"] == 7 and doc["seed"] == 9
+    assert doc["params"] is None and doc["failures"] is report.failures
+    assert set(doc) == set(VerifyReport._fields)
