@@ -25,7 +25,7 @@ by the second action's walk.
 Every action runs through one guarded entry, `_act_cochain`, on
 operands that `_operands` prepares once per public call: the ambient
 check, the zero-operand exit, the lifetime check of the memos below,
-and each operand's dimension, slot and membership test.  The entry
+and each operand's dimension, slot, membership test and seeds.  The entry
 works plan by plan rather than face by face.  Each cut plan is a
 conjunction of tests (slot, positions), and each test filters the
 target faces that passed the plan's earlier tests in one C-level pass.
@@ -37,8 +37,20 @@ share sit nearest the root and filter the m-faces once for all of
 them; slots that hold the same cochain test it once.  Each node
 records whether an odd number of plans end there, since plans with
 the same tests cancel.  A face is in the result when an odd number of
-plans keep it.  The schedules, and the m-face lists they filter, are
-memoized for as long as the `_cut_plans` cache holds.
+plans keep it.
+
+A root of a schedule, a test that no other test precedes, filters
+every m-face of the simplex unless its slot holds a sparse operand:
+one whose support S holds fewer than one in eight of the faces of its
+dimension d, |S| * 8 < C(n+1, d+1), a fixed rule decided once per
+operand per call.  Such a root starts from its support instead: for
+each face of S it lists the m-faces that carry that face at the root's
+positions, with the other vertices chosen gap by gap
+(`_seeded_faces`), so it costs in proportion to the support rather
+than to the simplex, and skips its own test.  The schedules, and the
+m-face lists that the other roots filter, are memoized for as long as
+the `_cut_plans` cache holds; a call whose roots are all seeded lists
+no m-faces.
 
 The coboundary is bit-parallel.  `delta` numbers the (d+1)-faces of
 the n-simplex in the order it first meets them as cofaces f + {v} of
@@ -65,7 +77,8 @@ from __future__ import annotations
 import reprlib
 from collections import Counter
 from functools import lru_cache, reduce
-from itertools import chain, compress, zip_longest
+from itertools import chain, combinations, compress, zip_longest
+from math import comb
 from operator import itemgetter, lt, xor
 
 from .f2 import F2Sum
@@ -361,7 +374,8 @@ def _schedule(key: tuple) -> tuple:
 
 # (words, i, dims, slots, m) -> schedule of `_act_cochain`, built from `_cut_plans` on first use
 _SCHEDULES = _Memo(_schedule)
-# (n, m) -> the m-faces of the n-simplex that `_act_cochain` walks, emptied with `_SCHEDULES`
+# (n, m) -> the m-faces of the n-simplex that the roots of non-sparse slots filter,
+# listed when the first such root is met and emptied with `_SCHEDULES`
 _FACES = _Memo(lambda key: faces_of_dim(*key))
 
 
@@ -379,6 +393,40 @@ def _walk(nodes: tuple, passed: list, contains: list, out: set) -> None:
             if ends:
                 out.symmetric_difference_update(kept)
             _walk(kids, kept, contains, out)
+
+
+def _seeded_faces(positions, support, m: int, n: int, gaps: dict) -> list:
+    """The m-faces of the n-simplex whose vertices at `positions` form a face of `support`.
+
+    For each face s of the support, the vertices at the positions are
+    those of s, and each gap that the positions leave k places in
+    (before the first position, between two, after the last) takes any
+    k vertices strictly between the vertices of s around it; a gap with
+    fewer vertices than places has no choice, and s then lists no face.
+    `gaps` holds one call's lists of those choices, keyed by (first
+    vertex, end vertex, k).  Distinct faces of the support give distinct
+    m-faces.  A single position is a bare int, as a getter of one
+    position returns it.
+    """
+    if not isinstance(positions, tuple):
+        positions = (positions,)
+    counts = [q - p - 1 for p, q in zip((-1,) + positions, positions + (m + 1,))]
+    cuts = [j for j, k in enumerate(counts) if k]
+    # each gap with places: the vertices of s before it, its places, the slice of s after it
+    spans = [(j, counts[j], slice(j, end)) for j, end in zip(cuts, cuts[1:] + [None])]
+    head = slice(0, cuts[0] if cuts else None)
+    faces = []
+    for s in support:
+        bounds = (-1,) + s + (n + 1,)
+        listed = [s[head]]
+        for j, k, after in spans:
+            lo, hi = bounds[j] + 1, bounds[j + 1]
+            if (gap := gaps.get((lo, hi, k))) is None:
+                gap = gaps[lo, hi, k] = list(combinations(range(lo, hi), k))
+            tail = s[after]
+            listed = [f + g + tail for f in listed for g in gap]
+        faces += listed
+    return faces
 
 
 def _alt(x: int, y: int, length: int) -> tuple[int, ...]:
@@ -452,8 +500,17 @@ def _defect_surjections(i: int) -> tuple:
     return squared_product_surjections(i) + square_surjections(i)
 
 
+def _seeds(c: Cochain):
+    """The support of a sparse operand, which its roots start from; None for any other.
+
+    An operand is sparse when its support holds fewer than one in eight
+    of the faces of its dimension.
+    """
+    return c.support if len(c.support) * 8 < comb(c.ambient + 1, c.dim + 1) else None
+
+
 def _operands(cochains) -> tuple:
-    """One call's operands, prepared once for all its actions: (n, dims, slots, contains).
+    """One call's operands, prepared once for all its actions: (n, dims, slots, contains, seeds).
 
     Rejects cochains of different simplices.  When an operand is zero,
     `contains` is None and the rest is not prepared, since every action
@@ -464,7 +521,8 @@ def _operands(cochains) -> tuple:
     or a cup of a with itself tests each support under one name, and
     `contains` holds each operand's membership test.  A dimension-0 support
     is keyed by vertex, since a getter of one position returns a bare
-    vertex rather than a 1-tuple.
+    vertex rather than a 1-tuple.  `seeds` holds each operand's `_seeds`,
+    or is None when no operand is sparse.
     """
     n = cochains[0].ambient
     for c in cochains:
@@ -472,14 +530,16 @@ def _operands(cochains) -> tuple:
             raise ValueError("cochains live on different simplices")
     for c in cochains:
         if not c.support:
-            return n, None, None, None
+            return n, None, None, None, None
     if not _cut_plans.cache_info().currsize:
         _SCHEDULES.clear()
         _FACES.clear()
     ids = [id(c) for c in cochains]
     contains = [(frozenset(f[0] for f in c.support) if c.dim == 0 else c.support).__contains__
                 for c in cochains]
-    return n, tuple([c.dim for c in cochains]), tuple(map(ids.index, ids)), contains
+    seeds = list(map(_seeds, cochains))
+    return (n, tuple([c.dim for c in cochains]), tuple(map(ids.index, ids)), contains,
+            seeds if any(seeds) else None)
 
 
 def _act_cochain(words, i: int, operands: tuple, dim: int, plus=()) -> Cochain:
@@ -495,18 +555,37 @@ def _act_cochain(words, i: int, operands: tuple, dim: int, plus=()) -> Cochain:
     and passes a plan when it passes every test of the plan.  The plans
     are compiled once per (words, i, dims, slots, dim) into a
     `_schedule`, keyed by the function `words` itself, which must give
-    the same words for the same i; the dim-faces of the simplex are
-    listed once per (n, dim) in `_FACES`.  Both memos live as long as
-    the `_cut_plans` cache, which `_operands` checks.  Each node of the
+    the same words for the same i.  A root whose slot holds a sparse
+    operand (`_seeds`) starts from the dim-faces that `_seeded_faces`
+    lists from its support, which pass its test by construction; the
+    other roots filter the dim-faces of the simplex, listed once per
+    (n, dim) in `_FACES`, and only when some root needs them.  With no
+    sparse operand this is one walk of the whole schedule over
+    `_FACES`.  The seeded roots of one call share their lists of gap
+    choices, and keep none after it.  Both memos live as long as the
+    `_cut_plans` cache, which `_operands` checks.  Each node of the
     schedule filters, in one pass of `compress`, the faces that passed
     its parent, and a subtree stops at its first empty list.  A face
     passes a plan at most once, so the result is the symmetric
     difference of what the plans keep.
     """
-    n, dims, slots, contains = operands
+    n, dims, slots, contains, seeds = operands
     out = set(plus)
     if contains is not None and 0 <= dim <= n:
-        _walk(_SCHEDULES[words, i, dims, slots, dim], _FACES[n, dim], contains, out)
+        schedule = _SCHEDULES[words, i, dims, slots, dim]
+        if seeds is not None:
+            top, gaps, scanned = range(dim + 1), {}, []
+            for node in schedule:
+                slot, get, ends, kids = node
+                if seeds[slot] is None:
+                    scanned.append(node)
+                elif faces := _seeded_faces(get(top), seeds[slot], dim, n, gaps):
+                    if ends:
+                        out.symmetric_difference_update(faces)
+                    _walk(kids, faces, contains, out)
+            schedule = tuple(scanned)
+        if schedule:
+            _walk(schedule, _FACES[n, dim], contains, out)
     return Cochain._built(n, dim, frozenset(out))
 
 

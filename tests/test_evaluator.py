@@ -15,8 +15,8 @@ from cartan.cochains import (Cochain, _act_cochain, _cut_plans, _defect_surjecti
                              witness_surjections)
 from cartan.simplicial import faces_of_dim
 
-from oracles import (act_reference, brute_cut_plans, cup_i_reference, defect_reference,
-                     delta_reference, odd_terms, squares_reference)
+from oracles import (act_reference, act_word, brute_cut_plans, cup_i_reference,
+                     defect_reference, delta_reference, odd_terms, squares_reference)
 
 KINDS = ("zero", "sparse", "dense")
 
@@ -197,9 +197,10 @@ def test_cup_matches_the_closed_formula_for_every_index(ab, data):
 
 def test_squares_of_sparse_coboundaries_match_the_closed_formula():
     # the squares-sparse benchmark's shape, past the n <= 8 of the tests above: every
-    # Sq^k of the coboundary of three random faces on the 10-, 11- and 12-simplex
+    # Sq^k of the coboundary of three random faces on the 10-, 11- and 12-simplex, and
+    # past the benchmark's simplices up to the CLI's ambient cap of 16
     rng = random.Random(4)
-    for n, dims in ((10, (2, 4)), (11, (1, 3)), (12, (2, 3))):
+    for n, dims in ((10, (2, 4)), (11, (1, 3)), (12, (2, 3)), (14, (2, 3)), (16, (2, 3))):
         for d in dims:
             a = delta(Cochain(n, d - 1, rng.sample(faces_of_dim(n, d - 1), 3)))
             squares = [steenrod_square(k, a) for k in range(d + 1)]
@@ -331,6 +332,95 @@ def test_zero_input_scans_no_face(monkeypatch):
             assert cartan_coboundary(i, x, y) == Cochain(6, 3 - i)
             assert _act_cochain(square_surjections, i, _operands((x, x, y, y)), 4 - i) == (
                 Cochain(6, 4 - i))
+
+
+def act(words, i: int, xs: tuple, dim: int) -> Cochain:
+    """`words(i)` acting on the cochains xs through the one action entry."""
+    return _act_cochain(words, i, _operands(xs), dim)
+
+
+def test_seeded_roots_match_the_scan(monkeypatch):
+    # each action as shipped, with every operand seeded and with none: arity-1, arity-2
+    # and arity-4 words, dimension-0 supports, support faces on vertex 0 and on vertex n
+    # (an empty first or last gap), the inner gap of a in the word 1 2 1, a sparse operand
+    # next to a dense one, and one object in several slots next to equal copies of it;
+    # each seeded root must list, once each, exactly the m-faces its test keeps
+    roots = Counter()
+    seeded_faces = cartan.cochains._seeded_faces
+
+    def listed(positions, support, m, n, gaps):
+        faces = seeded_faces(positions, support, m, n, gaps)
+        at = positions if isinstance(positions, tuple) else (positions,)
+        assert sorted(faces) == [f for f in faces_of_dim(n, m)
+                                 if tuple(f[p] for p in at) in support]
+        roots["seeded"] += 1
+        return faces
+
+    monkeypatch.setattr(cartan.cochains, "_seeded_faces", listed)
+    rng = random.Random(22)
+    n = 9
+
+    def sparse(dim):
+        """Faces on vertex 0 and on vertex n and one more; a dimension-0 one holds one vertex."""
+        if dim == 0:
+            return Cochain(n, 0, [(rng.choice((0, n)),)])
+        middle = tuple(sorted(rng.sample(range(1, n), dim + 1)))
+        return Cochain(n, dim, [tuple(range(dim + 1)), middle, tuple(range(n - dim, n + 1))])
+
+    calls = []
+    for da, db in product(range(4), repeat=2):
+        for a, b in ((sparse(da), sparse(db)), (sparse(da), make_cochain(rng, n, db, "dense")),
+                     (make_cochain(rng, n, da, "dense"), sparse(db))):
+            calls += [(cup, (i, a, b)) for i in range(da + db + 1)]
+            calls += [(steenrod_square, (k, a)) for k in range(da + 1)]
+            calls.append((act_word, ((1,), (a,), da)))
+            if da + db <= 3:
+                for i in range(3):
+                    calls.append((cartan_coboundary, (i, a, b)))
+                    for words in (_defect_surjections, square_surjections):
+                        dim = 2 * da + 2 * db - i
+                        calls.append((act, (words, i, (a, a, b, b), dim)))
+                        calls.append((act, (words, i, (a, copy(a), b, copy(b)), dim)))
+    for d in (1, 2, 3):
+        a = delta(Cochain(n, d - 1, rng.sample(faces_of_dim(n, d - 1), 3)))
+        calls += [(cartan_defect, (i, a, a)) for i in range(2 * d)]
+
+    def run():
+        return [f(*args) for f, args in calls]
+
+    shipped = run()
+    seeded = roots["seeded"]
+    with monkeypatch.context() as m:
+        m.setattr(cartan.cochains, "_seeds", lambda c: c.support)
+        every = run()
+    with monkeypatch.context() as m:
+        m.setattr(cartan.cochains, "_seeds", lambda c: None)
+        before = roots["seeded"]
+        scanned = run()
+        assert roots["seeded"] == before
+    for call, x, y, z in zip(calls, shipped, every, scanned):
+        assert x == y == z, call
+    nonzero = sum(not c.is_zero for c in shipped)
+    assert seeded > 350 and nonzero > 200, (seeded, nonzero)
+
+
+def test_squares_of_sparse_cochains_list_no_m_face(monkeypatch):
+    # every root of a square of a sparse cochain starts from its support, so no list of
+    # all the m-faces is built: the property that keeps squares-sparse's memory small
+    def no_faces(key):
+        raise AssertionError(f"m-faces listed: {key}")
+
+    monkeypatch.setattr(cartan.cochains, "_FACES", cartan.cochains._Memo(no_faces))
+    rng = random.Random(12)
+    nonzero = 0
+    for d in (2, 3, 4):
+        for _ in range(2):
+            a = delta(Cochain(12, d - 1, rng.sample(faces_of_dim(12, d - 1), 3)))
+            for k in range(d + 1):
+                sq = steenrod_square(k, a)
+                assert sq == cup_i_reference(d - k, a, a)
+                nonzero += not sq.is_zero
+    assert nonzero > 12, nonzero
 
 
 def test_cut_plans_match_the_brute_force_cuts():
