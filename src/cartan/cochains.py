@@ -395,7 +395,7 @@ def _walk(nodes: tuple, passed: list, contains: list, out: set) -> None:
             _walk(kids, kept, contains, out)
 
 
-def _seeded_faces(positions, support, m: int, n: int, gaps: dict) -> list:
+def _seeded_faces(positions, support, m: int, n: int) -> list:
     """The m-faces of the n-simplex whose vertices at `positions` form a face of `support`.
 
     For each face s of the support, the vertices at the positions are
@@ -403,9 +403,7 @@ def _seeded_faces(positions, support, m: int, n: int, gaps: dict) -> list:
     (before the first position, between two, after the last) takes any
     k vertices strictly between the vertices of s around it; a gap with
     fewer vertices than places has no choice, and s then lists no face.
-    `gaps` holds one call's lists of those choices, keyed by (first
-    vertex, end vertex, k).  Distinct faces of the support give distinct
-    m-faces.  A single position is a bare int, as a getter of one
+    Distinct faces of the support give distinct m-faces.  A single position is a bare int, as a getter of one
     position returns it.
     """
     if not isinstance(positions, tuple):
@@ -421,10 +419,8 @@ def _seeded_faces(positions, support, m: int, n: int, gaps: dict) -> list:
         listed = [s[head]]
         for j, k, after in spans:
             lo, hi = bounds[j] + 1, bounds[j + 1]
-            if (gap := gaps.get((lo, hi, k))) is None:
-                gap = gaps[lo, hi, k] = list(combinations(range(lo, hi), k))
             tail = s[after]
-            listed = [f + g + tail for f in listed for g in gap]
+            listed = [f + g + tail for f in listed for g in combinations(range(lo, hi), k)]
         faces += listed
     return faces
 
@@ -504,7 +500,10 @@ def _seeds(c: Cochain):
     """The support of a sparse operand, which its roots start from; None for any other.
 
     An operand is sparse when its support holds fewer than one in eight
-    of the faces of its dimension.
+    of the faces of its dimension.  A root pays about four times as much
+    for each face it lists as a scan pays for each face it tests, so
+    seeding wins below about one in four; on dense coboundaries it
+    would cost twice the scan.
     """
     return c.support if len(c.support) * 8 < comb(c.ambient + 1, c.dim + 1) else None
 
@@ -561,25 +560,24 @@ def _act_cochain(words, i: int, operands: tuple, dim: int, plus=()) -> Cochain:
     other roots filter the dim-faces of the simplex, listed once per
     (n, dim) in `_FACES`, and only when some root needs them.  With no
     sparse operand this is one walk of the whole schedule over
-    `_FACES`.  The seeded roots of one call share their lists of gap
-    choices, and keep none after it.  Both memos live as long as the
-    `_cut_plans` cache, which `_operands` checks.  Each node of the
-    schedule filters, in one pass of `compress`, the faces that passed
-    its parent, and a subtree stops at its first empty list.  A face
-    passes a plan at most once, so the result is the symmetric
-    difference of what the plans keep.
+    `_FACES`.  Both memos live as long as the `_cut_plans` cache,
+    which `_operands` checks.  Each node of the schedule filters, in
+    one pass of `compress`, the faces that passed its parent, and a
+    subtree stops at its first empty list.  A face passes a plan at
+    most once, so the result is the symmetric difference of what the
+    plans keep.
     """
     n, dims, slots, contains, seeds = operands
     out = set(plus)
     if contains is not None and 0 <= dim <= n:
         schedule = _SCHEDULES[words, i, dims, slots, dim]
         if seeds is not None:
-            top, gaps, scanned = range(dim + 1), {}, []
+            top, scanned = range(dim + 1), []
             for node in schedule:
                 slot, get, ends, kids = node
                 if seeds[slot] is None:
                     scanned.append(node)
-                elif faces := _seeded_faces(get(top), seeds[slot], dim, n, gaps):
+                elif faces := _seeded_faces(get(top), seeds[slot], dim, n):
                     if ends:
                         out.symmetric_difference_update(faces)
                     _walk(kids, faces, contains, out)

@@ -348,8 +348,8 @@ def test_seeded_roots_match_the_scan(monkeypatch):
     roots = Counter()
     seeded_faces = cartan.cochains._seeded_faces
 
-    def listed(positions, support, m, n, gaps):
-        faces = seeded_faces(positions, support, m, n, gaps)
+    def listed(positions, support, m, n):
+        faces = seeded_faces(positions, support, m, n)
         at = positions if isinstance(positions, tuple) else (positions,)
         assert sorted(faces) == [f for f in faces_of_dim(n, m)
                                  if tuple(f[p] for p in at) in support]
