@@ -403,8 +403,8 @@ def _seeded_faces(positions, support, m: int, n: int) -> list:
     (before the first position, between two, after the last) takes any
     k vertices strictly between the vertices of s around it; a gap with
     fewer vertices than places has no choice, and s then lists no face.
-    Distinct faces of the support give distinct m-faces.  A single position is a bare int, as a getter of one
-    position returns it.
+    Distinct faces of the support give distinct m-faces.  A single
+    position is a bare int, as a getter of one position returns it.
     """
     if not isinstance(positions, tuple):
         positions = (positions,)
