@@ -363,7 +363,9 @@ def _schedule(key: tuple) -> tuple:
         for test in path:
             node = node.setdefault(test, [False, {}])[1]
         node.setdefault(last, [False, {}])[0] = True
-    getters = _Memo(lambda positions: itemgetter(*positions))
+    # a slice for one position, so that every getter returns a tuple of vertices
+    getters = _Memo(lambda positions: itemgetter(*positions) if len(positions) > 1
+                    else itemgetter(slice(positions[0], positions[0] + 1)))
 
     def freeze(node: dict) -> tuple:
         return tuple((slot, getters[positions], ends, freeze(kids))
@@ -403,11 +405,8 @@ def _seeded_faces(positions, support, m: int, n: int) -> list:
     (before the first position, between two, after the last) takes any
     k vertices strictly between the vertices of s around it; a gap with
     fewer vertices than places has no choice, and s then lists no face.
-    Distinct faces of the support give distinct m-faces.  A single
-    position is a bare int, as a getter of one position returns it.
+    Distinct faces of the support give distinct m-faces.
     """
-    if not isinstance(positions, tuple):
-        positions = (positions,)
     counts = [q - p - 1 for p, q in zip((-1,) + positions, positions + (m + 1,))]
     cuts = [j for j, k in enumerate(counts) if k]
     # each gap with places: the vertices of s before it, its places, the slice of s after it
@@ -518,10 +517,8 @@ def _operands(cochains) -> tuple:
     emptied when the `_cut_plans` cache is found empty.  The slot of a
     cochain is the first one that holds the same object, so (a, a, b, b)
     or a cup of a with itself tests each support under one name, and
-    `contains` holds each operand's membership test.  A dimension-0 support
-    is keyed by vertex, since a getter of one position returns a bare
-    vertex rather than a 1-tuple.  `seeds` holds each operand's `_seeds`,
-    or is None when no operand is sparse.
+    `contains` holds each operand's membership test and `seeds` its
+    `_seeds`.
     """
     n = cochains[0].ambient
     for c in cochains:
@@ -534,11 +531,8 @@ def _operands(cochains) -> tuple:
         _SCHEDULES.clear()
         _FACES.clear()
     ids = [id(c) for c in cochains]
-    contains = [(frozenset(f[0] for f in c.support) if c.dim == 0 else c.support).__contains__
-                for c in cochains]
-    seeds = list(map(_seeds, cochains))
-    return (n, tuple([c.dim for c in cochains]), tuple(map(ids.index, ids)), contains,
-            seeds if any(seeds) else None)
+    return (n, tuple([c.dim for c in cochains]), tuple(map(ids.index, ids)),
+            [c.support.__contains__ for c in cochains], list(map(_seeds, cochains)))
 
 
 def _act_cochain(words, i: int, operands: tuple, dim: int, plus=()) -> Cochain:
@@ -554,36 +548,30 @@ def _act_cochain(words, i: int, operands: tuple, dim: int, plus=()) -> Cochain:
     and passes a plan when it passes every test of the plan.  The plans
     are compiled once per (words, i, dims, slots, dim) into a
     `_schedule`, keyed by the function `words` itself, which must give
-    the same words for the same i.  A root whose slot holds a sparse
-    operand (`_seeds`) starts from the dim-faces that `_seeded_faces`
-    lists from its support, which pass its test by construction; the
-    other roots filter the dim-faces of the simplex, listed once per
-    (n, dim) in `_FACES`, and only when some root needs them.  With no
-    sparse operand this is one walk of the whole schedule over
-    `_FACES`.  Both memos live as long as the `_cut_plans` cache,
-    which `_operands` checks.  Each node of the schedule filters, in
-    one pass of `compress`, the faces that passed its parent, and a
-    subtree stops at its first empty list.  A face passes a plan at
-    most once, so the result is the symmetric difference of what the
-    plans keep.
+    the same words for the same i.  The roots of the schedule run in one
+    loop.  A root whose slot holds a sparse operand (`_seeds`) starts
+    from the dim-faces that `_seeded_faces` lists from its support,
+    which pass its test by construction; any other root filters the
+    dim-faces of the simplex, listed once per (n, dim) in `_FACES`, and
+    only when some root needs them.  Both memos live as long as the
+    `_cut_plans` cache, which `_operands` checks.  Each node of the
+    schedule filters, in one pass of `compress`, the faces that passed
+    its parent, and a subtree stops at its first empty list.  A face
+    passes a plan at most once, so the result is the symmetric
+    difference of what the plans keep.
     """
     n, dims, slots, contains, seeds = operands
     out = set(plus)
     if contains is not None and 0 <= dim <= n:
-        schedule = _SCHEDULES[words, i, dims, slots, dim]
-        if seeds is not None:
-            top, scanned = range(dim + 1), []
-            for node in schedule:
-                slot, get, ends, kids = node
-                if seeds[slot] is None:
-                    scanned.append(node)
-                elif faces := _seeded_faces(get(top), seeds[slot], dim, n):
-                    if ends:
-                        out.symmetric_difference_update(faces)
-                    _walk(kids, faces, contains, out)
-            schedule = tuple(scanned)
-        if schedule:
-            _walk(schedule, _FACES[n, dim], contains, out)
+        top = tuple(range(dim + 1))
+        for root in _SCHEDULES[words, i, dims, slots, dim]:
+            slot, get, ends, kids = root
+            if seeds[slot] is None:
+                _walk((root,), _FACES[n, dim], contains, out)
+            elif faces := _seeded_faces(get(top), seeds[slot], dim, n):
+                if ends:
+                    out.symmetric_difference_update(faces)
+                _walk(kids, faces, contains, out)
     return Cochain._built(n, dim, frozenset(out))
 
 

@@ -16,6 +16,8 @@ check the two arity-4 word families that `cartan_defect` evaluates in
 place of every cup.
 `cup_i_reference`, the closed cup-i formula, uses neither the cut
 plans nor the evaluator.
+`pullback` maps each face through a vertex map and reads the support,
+with no action and no cut plan.
 `ez_reference` and `shih_reference` build every shuffle by applying
 degeneracy operators one index at a time, where the package walks its
 shuffles directly.
@@ -354,12 +356,16 @@ def cup0_value(a: Cochain, b: Cochain, target) -> int:
     return value(a, target[:p + 1]) * value(b, target[p:])
 
 
-def restrict(c: Cochain, verts) -> Cochain:
-    """Pull a cochain back along the inclusion of the subsimplex on `verts`."""
-    keep = set(verts)
-    index = {v: i for i, v in enumerate(verts)}
-    support = [tuple(index[v] for v in f) for f in c.support if keep.issuperset(f)]
-    return Cochain(len(verts) - 1, c.dim, support)
+def pullback(f: tuple[int, ...], c: Cochain) -> Cochain:
+    """Pull a cochain on the n-simplex back along the monotone vertex map f: [m] -> [n].
+
+    f is the tuple (f(0), ..., f(m)), so m = len(f) - 1.  A face s of the
+    m-simplex is in the support of f*c when (f(s_0), ..., f(s_d)) is in
+    the support of c; an image with a repeated vertex is degenerate and
+    in no support, so f*c is 0 on it.
+    """
+    return Cochain(len(f) - 1, c.dim, [s for s in faces_of_dim(len(f) - 1, c.dim)
+                                       if tuple(f[v] for v in s) in c.support])
 
 
 def zeta_monomials(i: int, n: int) -> frozenset:

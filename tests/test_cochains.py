@@ -1,6 +1,7 @@
 """Cochain arithmetic and the surjection action that drives the products."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,9 +10,9 @@ from cartan.barratt_eccles import (MID_SWAP4, SWAP2, cup_generator, diag_embed,
                                    diagonal_homotopy, embedding_homotopy,
                                    product_of_squares, sigma_act, squared_product)
 from cartan.cli import MAX_WITNESS_INDEX
-from cartan.cochains import (Cochain, _act_cochain, _cut_plans, _operands, cartan_coboundary,
-                             cartan_defect, cup, cup_surjections, delta, ones, square_surjections,
-                             squared_product_surjections, steenrod_square,
+from cartan.cochains import (Cochain, _act_cochain, _cut_plans, _operands, _seeds,
+                             cartan_coboundary, cartan_defect, cup, cup_surjections, delta, ones,
+                             square_surjections, squared_product_surjections, steenrod_square,
                              witness_surjections)
 from cartan.f2 import F2Sum, singleton
 from cartan.simplicial import faces_of_dim
@@ -20,7 +21,7 @@ from cartan.surjection import (is_basis_surjection, surj_act, surj_boundary, sur
 from cartan.verify import random_cochain
 
 from oracles import (act_reference, act_word, all_faces, brute_surjection_value, cup0_value,
-                     cup_i_reference, diagonal_iter, join, restrict, squares_reference,
+                     cup_i_reference, diagonal_iter, join, pullback, squares_reference,
                      surjection_monomials, value)
 
 
@@ -418,5 +419,41 @@ def test_witness_restriction_naturality():
             b = delta(random_cochain(rng, 4, 0))
             z = cartan_coboundary(i, a, b)
             for verts in faces_of_dim(4, 3):
-                assert restrict(z, verts) == cartan_coboundary(
-                    i, restrict(a, verts), restrict(b, verts))
+                assert pullback(verts, z) == cartan_coboundary(
+                    i, pullback(verts, a), pullback(verts, b))
+
+
+def monotone_map(rng: random.Random, n: int, injective: bool) -> tuple[int, ...]:
+    """A monotone vertex map f: [m] -> [n], m >= 1, as (f(0), ..., f(m)): the inclusion of a
+    face of the n-simplex, or, when not injective, that inclusion after a map that sends
+    2 to n + 1 vertices to one vertex of the face."""
+    verts = rng.sample(range(n + 1), rng.randint(2, n + 1))
+    if not injective:
+        verts += [rng.choice(verts)] * rng.randint(1, n)
+    return tuple(sorted(verts))
+
+
+def test_operations_are_natural_for_monotone_maps():
+    # op(f*a, f*b) == f*op(a, b) for cup, steenrod_square and cartan_coboundary, and the
+    # defect of pulled-back cocycles is zero, along face inclusions and along maps that
+    # repeat a vertex, so that pulled-back operands are sparse as well as dense and the
+    # action starts roots of both kinds
+    rng = random.Random(23)
+    nonzero = 0
+    kinds = Counter()
+    for trial in range(600):
+        n = rng.randint(3, 7)
+        f = monotone_map(rng, n, trial % 2 == 0)
+        a, b = (ones(n) if rng.random() < 0.2 else
+                delta(random_cochain(rng, n, rng.randint(0, 2))) for _ in range(2))
+        fa, fb = pullback(f, a), pullback(f, b)
+        kinds.update("dense" if _seeds(x) is None else "sparse"
+                     for x in (fa, fb) if not x.is_zero)
+        for i in range(4):
+            for got, want in ((cup(i, fa, fb), cup(i, a, b)),
+                              (steenrod_square(i, fa), steenrod_square(i, a)),
+                              (cartan_coboundary(i, fa, fb), cartan_coboundary(i, a, b))):
+                assert got == pullback(f, want), (f, i, a, b)
+                nonzero += not got.is_zero
+            assert cartan_defect(i, fa, fb).is_zero, (f, i, a, b)
+    assert nonzero > 1000 and kinds["sparse"] > 20 and kinds["dense"] > 500, (nonzero, kinds)

@@ -350,9 +350,8 @@ def test_seeded_roots_match_the_scan(monkeypatch):
 
     def listed(positions, support, m, n):
         faces = seeded_faces(positions, support, m, n)
-        at = positions if isinstance(positions, tuple) else (positions,)
         assert sorted(faces) == [f for f in faces_of_dim(n, m)
-                                 if tuple(f[p] for p in at) in support]
+                                 if tuple(f[p] for p in positions) in support]
         roots["seeded"] += 1
         return faces
 
@@ -496,19 +495,18 @@ def test_shared_operands_match_the_literal_defect_at_the_edges():
     assert not cartan_coboundary(0, a, a).is_zero
 
 
-def tree_nodes(nodes: tuple) -> int:
-    return sum(1 + tree_nodes(kids) for _, _, _, kids in nodes)
+def tree_tests(nodes: tuple, top: tuple):
+    """(slot, positions) of every node, parents first: each getter applied to the face
+    (0, 1, ..., m) returns its positions."""
+    for slot, get, _, kids in nodes:
+        yield slot, get(top)
+        yield from tree_tests(kids, top)
 
 
 def end_sets(nodes: tuple, top: tuple, path: frozenset = frozenset()):
-    """The tests on the path to each node marked as an end, one set per such node.
-
-    A getter applied to the face (0, 1, ..., m) returns its positions,
-    a bare int for one position.
-    """
+    """The tests on the path to each node marked as an end, one set per such node."""
     for slot, get, ends, kids in nodes:
-        positions = get(top)
-        here = path | {(slot, positions if isinstance(positions, tuple) else (positions,))}
+        here = path | {(slot, get(top))}
         if ends:
             yield here
         yield from end_sets(kids, top, here)
@@ -534,17 +532,22 @@ def action_shapes():
 
 
 def test_schedules_end_once_per_odd_set_and_share_first():
-    # each set of tests met an odd number of times ends at exactly one node, and the
-    # shared-first tree never has more nodes than the prefix tree of sorted tests
+    # each set of tests met an odd number of times ends at exactly one node, the
+    # shared-first tree never has more nodes than the prefix tree of sorted tests, and
+    # every getter, of one position too, returns a tuple of its slot's dimension + 1
+    # positions
     shapes = smaller = 0
     for key in action_shapes():
         words, i, dims, slots, m = key
         odd = odd_terms(frozenset(zip(slots, plan))
                         for s in words(i) for plan in _cut_plans(s, dims, m))
-        tree = _schedule(key)
-        ends = Counter(end_sets(tree, tuple(range(m + 1))))
+        tree, top = _schedule(key), tuple(range(m + 1))
+        tests = list(tree_tests(tree, top))
+        for slot, positions in tests:
+            assert type(positions) is tuple and len(positions) == dims[slot] + 1, (key, slot)
+        ends = Counter(end_sets(tree, top))
         assert set(ends) == odd and set(ends.values()) <= {1}, key
-        nodes, lexicographic = tree_nodes(tree), lexicographic_nodes(odd)
+        nodes, lexicographic = len(tests), lexicographic_nodes(odd)
         assert nodes <= lexicographic, (key, nodes, lexicographic)
         shapes += bool(odd)
         smaller += nodes < lexicographic
