@@ -43,26 +43,33 @@ A root of a schedule, a test that no other test precedes, filters
 every m-face of the simplex unless its slot holds a sparse operand:
 one whose support S holds fewer than one in eight of the faces of its
 dimension d, |S| * 8 < C(n+1, d+1), a fixed rule decided once per
-operand per call.  Such a root starts from its support instead: for
-each face of S it lists the m-faces that carry that face at the root's
-positions, with the other vertices chosen gap by gap
-(`_seeded_faces`), so it costs in proportion to the support rather
-than to the simplex, and skips its own test.  The schedules, and the
+operand per call.  Such a root starts from its support instead, by a
+seed plan compiled with the schedule (`_seed_plan`): the gaps that its
+positions leave places in, and one getter that puts a face of S and the
+vertices chosen in its gaps into m-face order.  For each face of S,
+`_seeded_faces` first checks that every gap is at least as wide as its
+places, so a face with a narrower gap lists nothing, and then lists the
+m-faces that carry the face at the root's positions through
+`combinations`, or their `product` for several gaps.  So a seeded root
+costs in proportion to the support rather than to the simplex, and
+skips its own test.  The schedules with their seed plans, and the
 m-face lists that the other roots filter, are memoized for as long as
 the `_cut_plans` cache holds; a call whose roots are all seeded lists
 no m-faces.
 
 The coboundary is bit-parallel.  `delta` numbers the (d+1)-faces of
 the n-simplex in the order it first meets them as cofaces f + {v} of
-a support face f; the coface mask of a d-face is the integer with a
-bit at the number of each of its cofaces.  `_coboundary_bits` XORs
-the masks of the support faces, and `delta` decodes the set bits of
-the result into faces, so a cocycle costs one dictionary lookup and
-one XOR per support face and decodes nothing; a cocycle check tests
-the XOR itself and builds no cochain.  Masks and numbers are memoized
-per (ambient, dim) on first use by a nonzero cochain, so the memo
-grows with the faces `delta` has met, not with the number of faces of
-the simplex.
+a support face f, each named by its vertex set, an int with one bit
+per vertex; the coface mask of a d-face is the integer with a bit at
+the number of each of its cofaces.  `_coboundary_bits` XORs the masks
+of the support faces, and `delta` decodes the set bits of the result
+into faces, so a cocycle costs one dictionary lookup and one XOR per
+support face and decodes nothing; a cocycle check tests the XOR itself
+and builds no cochain.  A coface becomes a tuple of vertices only when
+`delta` first returns it.  Masks and numbers are memoized per
+(ambient, dim) on first use by a nonzero cochain, so the memo grows
+with the faces `delta` has met, not with the number of faces of the
+simplex.
 
 Cochains that this module builds itself (the results of the action
 and of `delta` and `+`) skip the validation that the public constructor and
@@ -76,8 +83,8 @@ from __future__ import annotations
 
 import reprlib
 from collections import Counter
-from functools import lru_cache, reduce
-from itertools import chain, combinations, compress, zip_longest
+from functools import lru_cache, partial, reduce
+from itertools import chain, combinations, compress, product, zip_longest
 from math import comb
 from operator import itemgetter, lt, xor
 
@@ -228,20 +235,22 @@ class _Memo(dict):
 
 
 def _coface_memo(n: int):
-    """Coface masks of faces of the n-simplex, filled on first lookup, and their cofaces.
+    """Coface masks of faces of the n-simplex, and the cofaces of their bits, filled on first use.
 
-    A coface f + {v} gets the next bit the first time a mask meets it,
-    and `cofaces` lists the cofaces in the order of their bits.
+    A coface is named by its vertex set, the int with a bit at each
+    vertex, and gets the next bit the first time a mask meets it;
+    `cofaces` lists these vertex sets in the order of their bits.  A
+    bit's face is decoded into its tuple on first lookup in `faces`,
+    which `delta` does only for the faces it returns.
     """
     cofaces: list = []
     bit_of = _Memo(lambda g: cofaces.append(g) or len(cofaces) - 1)
 
     def mask(f: tuple[int, ...]) -> int:
-        return sum(1 << bit_of[f[:k] + (v,) + f[k:]]
-                   for k, (lo, hi) in enumerate(zip((-1,) + f, f + (n + 1,)))
-                   for v in range(lo + 1, hi))
+        x = sum(1 << v for v in f)
+        return sum(1 << bit_of[x | 1 << v] for v in range(n + 1) if not x >> v & 1)
 
-    return _Memo(mask), cofaces
+    return _Memo(mask), cofaces, _Memo(lambda bit: tuple(_bits(cofaces[bit])))
 
 
 def _bits(x: int):
@@ -253,7 +262,8 @@ def _bits(x: int):
 
 
 # (ambient, dim) -> (coface mask of each dim-face met so far,
-#                    (dim+1)-face of each bit handed out so far)
+#                    vertex set of the (dim+1)-face of each bit handed out so far,
+#                    (dim+1)-face of each bit decoded so far)
 _COFACES = _Memo(lambda key: _coface_memo(key[0]))
 
 
@@ -272,7 +282,7 @@ def _coboundary_bits(c: Cochain) -> int:
 def _coboundary_faces(c: Cochain):
     """The faces of delta c, decoded from the set bits of `_coboundary_bits(c)`."""
     x = _coboundary_bits(c)
-    return map(_COFACES[c.ambient, c.dim][1].__getitem__, _bits(x)) if x else ()
+    return map(_COFACES[c.ambient, c.dim][2].__getitem__, _bits(x)) if x else ()
 
 
 def delta(a: Cochain) -> Cochain:
@@ -350,8 +360,10 @@ def _schedule(key: tuple) -> tuple:
     share sit nearest the root and filter the faces once for all of
     them.  A node is (slot, getter of the positions, whether a
     remaining set ends here, child nodes), and a subtree in which no
-    set ends is never built.  `words(i)` is only built here, so an
-    action looks its schedule up without hashing the words.
+    set ends is never built.  The schedule pairs each root with its
+    `_seed_plan`, for the calls whose root slot holds a sparse operand.
+    `words(i)` is only built here, so an action looks its schedule up
+    without hashing the words.
     """
     words, i, dims, slots, m = key
     odd = F2Sum(frozenset(zip(slots, plan)) for s in words(i) for plan in _cut_plans(s, dims, m))
@@ -371,7 +383,7 @@ def _schedule(key: tuple) -> tuple:
         return tuple((slot, getters[positions], ends, freeze(kids))
                      for (slot, positions), (ends, kids) in node.items())
 
-    return freeze(trie)
+    return tuple(zip(freeze(trie), [_seed_plan(positions, m) for _, positions in trie]))
 
 
 # (words, i, dims, slots, m) -> schedule of `_act_cochain`, built from `_cut_plans` on first use
@@ -397,30 +409,57 @@ def _walk(nodes: tuple, passed: list, contains: list, out: set) -> None:
             _walk(kids, kept, contains, out)
 
 
-def _seeded_faces(positions, support, m: int, n: int) -> list:
-    """The m-faces of the n-simplex whose vertices at `positions` form a face of `support`.
+def _seed_plan(positions: tuple, m: int) -> tuple:
+    """How a root at `positions` lists m-faces from a support: (gaps, order).
 
-    For each face s of the support, the vertices at the positions are
-    those of s, and each gap that the positions leave k places in
-    (before the first position, between two, after the last) takes any
-    k vertices strictly between the vertices of s around it; a gap with
-    fewer vertices than places has no choice, and s then lists no face.
-    Distinct faces of the support give distinct m-faces.
+    Gap j lies before the j-th position, gap len(positions) after the
+    last; `gaps` holds (j, k) for each gap with k > 0 places.  A face
+    is listed as s + the vertices chosen for each gap in turn, and
+    `order` puts that tuple into m-face order; a root with no gap has
+    no `order`, since its m-faces are the support faces themselves.
     """
     counts = [q - p - 1 for p, q in zip((-1,) + positions, positions + (m + 1,))]
-    cuts = [j for j, k in enumerate(counts) if k]
-    # each gap with places: the vertices of s before it, its places, the slice of s after it
-    spans = [(j, counts[j], slice(j, end)) for j, end in zip(cuts, cuts[1:] + [None])]
-    head = slice(0, cuts[0] if cuts else None)
+    gaps = tuple((j, k) for j, k in enumerate(counts) if k)
+    if not gaps:
+        return gaps, None
+    # the m-face position of each vertex of s + chosen vertices, and its inverse
+    layout = positions + tuple(t for t in range(m + 1) if t not in positions)
+    return gaps, itemgetter(*sorted(range(m + 1), key=layout.__getitem__))
+
+
+# (s, g_1, g_2, ...) -> s + g_1 + g_2 + ...
+_flat = partial(sum, start=())
+
+
+def _seeded_faces(plan: tuple, support, n: int):
+    """The m-faces of the n-simplex that carry a face of `support` where `_seed_plan` says.
+
+    For each face s of the support, gap j with k places takes any k
+    vertices strictly between the vertices of s around it.  A face s
+    with a gap narrower than its places lists nothing; the others list
+    their choices through C-level iterators, one gap by `combinations`
+    alone and several by their `product`.  A root with no gap returns
+    the support itself.  Distinct faces of the support give distinct
+    m-faces.
+    """
+    gaps, order = plan
+    if not gaps:
+        return support
     faces = []
+    if len(gaps) == 1:
+        (j, k), = gaps
+        for s in support:
+            bounds = (-1,) + s + (n + 1,)
+            lo, hi = bounds[j] + 1, bounds[j + 1]
+            if hi - lo >= k:
+                faces += map(order, map(s.__add__, combinations(range(lo, hi), k)))
+        return faces
     for s in support:
         bounds = (-1,) + s + (n + 1,)
-        listed = [s[head]]
-        for j, k, after in spans:
-            lo, hi = bounds[j] + 1, bounds[j + 1]
-            tail = s[after]
-            listed = [f + g + tail for f in listed for g in combinations(range(lo, hi), k)]
-        faces += listed
+        spans = [range(bounds[j] + 1, bounds[j + 1]) for j, _ in gaps]
+        if all(len(r) >= k for r, (_, k) in zip(spans, gaps)):
+            choices = product((s,), *[combinations(r, k) for r, (_, k) in zip(spans, gaps)])
+            faces += map(order, map(_flat, choices))
     return faces
 
 
@@ -550,10 +589,11 @@ def _act_cochain(words, i: int, operands: tuple, dim: int, plus=()) -> Cochain:
     `_schedule`, keyed by the function `words` itself, which must give
     the same words for the same i.  The roots of the schedule run in one
     loop.  A root whose slot holds a sparse operand (`_seeds`) starts
-    from the dim-faces that `_seeded_faces` lists from its support,
-    which pass its test by construction; any other root filters the
-    dim-faces of the simplex, listed once per (n, dim) in `_FACES`, and
-    only when some root needs them.  Both memos live as long as the
+    from the dim-faces that `_seeded_faces` lists from its support by
+    the seed plan compiled with the root, and these pass its test by
+    construction; any other root filters the dim-faces of the simplex,
+    listed once per (n, dim) in `_FACES`, and only when some root needs
+    them.  Both memos live as long as the
     `_cut_plans` cache, which `_operands` checks.  Each node of the
     schedule filters, in one pass of `compress`, the faces that passed
     its parent, and a subtree stops at its first empty list.  A face
@@ -563,12 +603,11 @@ def _act_cochain(words, i: int, operands: tuple, dim: int, plus=()) -> Cochain:
     n, dims, slots, contains, seeds = operands
     out = set(plus)
     if contains is not None and 0 <= dim <= n:
-        top = tuple(range(dim + 1))
-        for root in _SCHEDULES[words, i, dims, slots, dim]:
-            slot, get, ends, kids = root
+        for root, plan in _SCHEDULES[words, i, dims, slots, dim]:
+            slot, _, ends, kids = root
             if seeds[slot] is None:
                 _walk((root,), _FACES[n, dim], contains, out)
-            elif faces := _seeded_faces(get(top), seeds[slot], dim, n):
+            elif faces := _seeded_faces(plan, seeds[slot], n):
                 if ends:
                     out.symmetric_difference_update(faces)
                 _walk(kids, faces, contains, out)

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import cartan.cochains
 from cartan.cochains import (Cochain, _act_cochain, _cut_plans, _defect_surjections,
-                             _operands, _schedule, cartan_coboundary, cartan_defect, cup,
+                             _operands, _schedule, _seed_plan, _seeded_faces,
+                             cartan_coboundary, cartan_defect, cup,
                              cup_surjections, delta, ones, square_surjections,
                              squared_product_surjections, steenrod_square,
                              witness_surjections)
@@ -128,17 +129,22 @@ def test_delta_matches_the_reference_along_a_sequence(seq):
 
 
 def test_delta_memo_fills_on_first_use(monkeypatch):
-    # one mask per support face met and at most n - d cofaces each, not a whole (16, d) table
+    # one mask per support face met and at most n - d cofaces handed a bit each, not a
+    # whole (16, d) table; a coface is decoded into its tuple only if delta returns it
     memo = cartan.cochains._COFACES
     monkeypatch.setattr(cartan.cochains, "_COFACES", cartan.cochains._Memo(memo.fill))
     rng = random.Random(5)
     n = 16
     for d in (0, 4, 8, 15):
         a = make_cochain(rng, n, d, "sparse")
-        assert delta(a) == delta_reference(a)
-        masks, cofaces = cartan.cochains._COFACES[n, d]
+        da = delta(a)
+        assert da == delta_reference(a) and not da.is_zero
+        masks, cofaces, faces = cartan.cochains._COFACES[n, d]
         assert len(masks) == len(a.support)
         assert len(cofaces) <= len(a.support) * (n - d)
+        assert set(faces.values()) == da.support
+        # a cocycle decodes nothing
+        assert delta(da).is_zero and not cartan.cochains._COFACES[n, d + 1][2]
 
 
 def test_delta_of_zero_adds_no_memo_key(monkeypatch):
@@ -346,15 +352,25 @@ def test_seeded_roots_match_the_scan(monkeypatch):
     # next to a dense one, and one object in several slots next to equal copies of it;
     # each seeded root must list, once each, exactly the m-faces its test keeps
     roots = Counter()
-    seeded_faces = cartan.cochains._seeded_faces
+    seed_plan, seeded_faces = cartan.cochains._seed_plan, cartan.cochains._seeded_faces
+    # (positions, m) of each seed plan built in this test, by the plan's id
+    planned = {}
 
-    def listed(positions, support, m, n):
-        faces = seeded_faces(positions, support, m, n)
+    def plan(positions, m):
+        made = seed_plan(positions, m)
+        planned[id(made)] = positions, m
+        return made
+
+    def listed(made, support, n):
+        positions, m = planned[id(made)]
+        faces = seeded_faces(made, support, n)
         assert sorted(faces) == [f for f in faces_of_dim(n, m)
                                  if tuple(f[p] for p in positions) in support]
         roots["seeded"] += 1
         return faces
 
+    monkeypatch.setattr(cartan.cochains, "_SCHEDULES", cartan.cochains._Memo(_schedule))
+    monkeypatch.setattr(cartan.cochains, "_seed_plan", plan)
     monkeypatch.setattr(cartan.cochains, "_seeded_faces", listed)
     rng = random.Random(22)
     n = 9
@@ -401,6 +417,62 @@ def test_seeded_roots_match_the_scan(monkeypatch):
         assert x == y == z, call
     nonzero = sum(not c.is_zero for c in shipped)
     assert seeded > 350 and nonzero > 200, (seeded, nonzero)
+
+
+@st.composite
+def seed_cases(draw):
+    """(positions, m, n, support) of a seeded root: n <= 12, up to 12 support faces.
+
+    Half the time the positions are consecutive, so that plans with no
+    gap (m = dim) and plans with gaps only at the ends come up often.
+    """
+    n = draw(st.integers(0, 12))
+    m = draw(st.integers(0, n))
+    if draw(st.booleans()):
+        first = draw(st.integers(0, m))
+        positions = tuple(range(first, draw(st.integers(first, m)) + 1))
+    else:
+        positions = tuple(sorted(draw(st.sets(st.integers(0, m), min_size=1))))
+    faces = faces_of_dim(n, len(positions) - 1)
+    support = draw(st.sets(st.sampled_from(faces), min_size=1, max_size=12))
+    return positions, m, n, frozenset(support)
+
+
+def test_seeded_faces_match_a_brute_force_filter():
+    # the compiled lister against a filter of every m-face: each m-face whose vertices at
+    # the positions form a support face is listed exactly once, and nothing else is; the
+    # plans have 0 to 3 or more gaps with places, at either end or inside, and many support
+    # faces have a gap narrower than its places
+    seen = Counter()
+
+    @settings(deadline=None, max_examples=1500)
+    @given(seed_cases())
+    def check(case):
+        positions, m, n, support = case
+        plan = _seed_plan(positions, m)
+        faces = list(_seeded_faces(plan, support, n))
+        kept = [f for f in faces_of_dim(n, m) if tuple(f[p] for p in positions) in support]
+        assert sorted(faces) == kept, case
+        # (j, places) of each gap with places: gap j lies between the (j - 1)-th and the
+        # j-th position, or an end of the m-face, and takes vertices between the same
+        # vertices of a support face s, or an end of the simplex
+        gaps = [(j, q - p - 1) for j, (p, q) in
+                enumerate(zip((-1,) + positions, positions + (m + 1,))) if q - p - 1]
+        narrow = [s for s in support
+                  if any((s + (n + 1,))[j] - ((-1,) + s)[j] - 1 < k for j, k in gaps)]
+        seen[min(len(gaps), 3), "gaps"] += 1
+        seen["first gap"] += positions[0] > 0
+        seen["last gap"] += positions[-1] < m
+        seen["narrow faces"] += len(narrow)
+        seen["all narrow"] += len(narrow) == len(support)
+        seen["nonempty"] += bool(faces)
+        seen["several gaps, nonempty"] += len(gaps) >= 2 and bool(faces)
+
+    check()
+    floors = {(0, "gaps"): 200, (1, "gaps"): 300, (2, "gaps"): 150, (3, "gaps"): 20,
+              "first gap": 300, "last gap": 250, "narrow faces": 1500, "all narrow": 150,
+              "nonempty": 500, "several gaps, nonempty": 80}
+    assert all(seen[key] >= floor for key, floor in floors.items()), seen
 
 
 def test_squares_of_sparse_cochains_list_no_m_face(monkeypatch):
@@ -541,7 +613,7 @@ def test_schedules_end_once_per_odd_set_and_share_first():
         words, i, dims, slots, m = key
         odd = odd_terms(frozenset(zip(slots, plan))
                         for s in words(i) for plan in _cut_plans(s, dims, m))
-        tree, top = _schedule(key), tuple(range(m + 1))
+        tree, top = tuple(root for root, _ in _schedule(key)), tuple(range(m + 1))
         tests = list(tree_tests(tree, top))
         for slot, positions in tests:
             assert type(positions) is tuple and len(positions) == dims[slot] + 1, (key, slot)
