@@ -71,12 +71,12 @@ and builds no cochain.  A coface becomes a tuple of vertices only when
 with the faces `delta` has met, not with the number of faces of the
 simplex.
 
-Cochains that this module builds itself (the results of the action
-and of `delta` and `+`) skip the validation that the public constructor and
-`Cochain.from_dict` apply to outside input.  That validation checks
-every face before any face is hashed, so an unhashable vertex is
-reported like any other bad vertex, and names the first bad face in
-input order, whatever the hash seed.
+The public constructor checks every rule of a cochain from outside:
+ambient, dim and vertices are plain ints, and no face is repeated.  It
+checks every face before it hashes any, so an unhashable vertex is
+reported like any other bad vertex, and it names the first bad face in
+input order, whatever the hash seed.  `Cochain.from_dict` adds only the
+rules of a JSON document; the cochains this module builds skip both.
 """
 
 from __future__ import annotations
@@ -131,6 +131,8 @@ class Cochain:
     __slots__ = ("ambient", "dim", "support")
 
     def __init__(self, ambient: int, dim: int, support=()):
+        if type(ambient) is not int or type(dim) is not int:
+            raise ValueError("ambient and dim must be integers")
         if ambient < 0:
             raise ValueError("ambient dimension must be nonnegative")
         faces = [tuple(f) for f in support]
@@ -141,7 +143,7 @@ class Cochain:
             for f in faces:
                 if len(f) != dim + 1:
                     raise ValueError(f"face {brief(f)} does not have dimension {dim}")
-                if any(not isinstance(v, int) or isinstance(v, bool) for v in f):
+                if any(type(v) is not int for v in f):
                     raise ValueError(f"face {brief(f)} has non-integer vertices")
                 if any(a >= b for a, b in zip(f, f[1:])):
                     raise ValueError(f"face {brief(f)} is not strictly increasing")
@@ -150,6 +152,8 @@ class Cochain:
         self.ambient = ambient
         self.dim = dim
         self.support = frozenset(faces)
+        if len(self.support) != len(faces):
+            raise ValueError("support contains a repeated face")
 
     @classmethod
     def _built(cls, ambient: int, dim: int, support: frozenset) -> "Cochain":
@@ -203,15 +207,11 @@ class Cochain:
             support = data["support"]
         except KeyError as exc:
             raise ValueError(f"missing cochain field: {exc.args[0]}") from None
-        if any(not isinstance(x, int) or isinstance(x, bool) for x in (ambient, dim)):
-            raise ValueError("ambient and dim must be integers")
-        if dim < 0:
-            raise ValueError("dim must be nonnegative")
         if not isinstance(support, list) or any(not isinstance(f, list) for f in support):
             raise ValueError("support must be a list of faces")
         c = cls(ambient, dim, support)
-        if len(c.support) != len(support):
-            raise ValueError("support contains a repeated face")
+        if dim < 0:
+            raise ValueError("dim must be nonnegative")
         return c
 
 

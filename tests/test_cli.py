@@ -282,9 +282,17 @@ def test_importing_the_cli_loads_no_dataclasses():
 
 def test_argparse_errors_exit_two(capsys, cochain_file):
     alpha = cochain_file("a.json", 2, 1, [(0, 1)])
-    assert cli.main(["cup", alpha, alpha]) == 2        # missing --i
-    assert cli.main(["no-such-command"]) == 2
-    assert cli.main(["verify", "no-such-suite"]) == 2
+    for argv, error in ((["cup", alpha, alpha], "the following arguments are required: --i"),
+                        (["no-such-command"], "argument command: invalid choice"),
+                        (["verify", "no-such-suite"], "argument suite: invalid choice"),
+                        (["cup", "--i", "-1", alpha, alpha], "argument --i: must be nonnegative"),
+                        (["sq", "--k", "x", alpha], "argument --k: 'x' is not an integer"),
+                        (["verify", "--i", "0", "--n", "2", "--trials", "-5"],
+                         "argument --trials: must be nonnegative")):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert captured.out == "" and len(errors) == 1 and f"error: {error}" in errors[0]
 
 
 def test_ambient_cap(capsys, cochain_file, monkeypatch):

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from enum import IntEnum
 
 import pytest
 
@@ -33,7 +34,16 @@ def test_cochain_validation():
                  (2, -1, [()]),
                  # unhashable vertices: the faces are checked before they are hashed
                  (3, 1, [(0, [1])]),
-                 (3, 1, [(0, {"v": 1})])):
+                 (3, 1, [(0, {"v": 1})]),
+                 # ... and before a repeated face is looked for
+                 (3, 1, [(0, 1), (0, 1), (0, [1])]),
+                 # ambient, dim and vertices are plain ints, not bools, floats or int subclasses
+                 (2.5, 0, [(0,)]),
+                 (True, 0, [(0,)]),
+                 (3, 1.0, [(0, 1)]),
+                 (3, 1, [(0, IntEnum("V", "ONE")(1))]),
+                 # a support is a set, so a face listed twice is refused
+                 (3, 1, [(0, 1), (0, 1)])):
         with pytest.raises(ValueError):
             Cochain(*args)
     # out-of-range dims are fine while the support is empty
@@ -62,6 +72,18 @@ def test_cochain_algebra():
         a + Cochain(2, 0, [(0,)])
     with pytest.raises(ValueError):
         a + Cochain(3, 1, [(0, 1)])
+    for other in (1, 0, frozenset(a.support)):
+        with pytest.raises(TypeError):
+            a + other
+
+
+def test_repr_evaluates_back_and_equal_cochains_hash_alike():
+    c = Cochain(3, 1, [(1, 3), (0, 1)])
+    assert repr(c) == "Cochain(3, 1, [(0, 1), (1, 3)])"
+    assert eval(repr(c), {"Cochain": Cochain}) == c
+    twin = Cochain(3, 1, [(0, 1), (1, 3)])
+    assert twin is not c and hash(twin) == hash(c) and len({c, twin}) == 1
+    assert len({c, Cochain(3, 1, [(0, 1)]), Cochain(4, 1, [(0, 1), (1, 3)])}) == 3
 
 
 def test_json_round_trip():

@@ -1,5 +1,7 @@
 """Nerve-level simplicial operators and the interval-product equivalences."""
 
+import pytest
+
 from cartan.f2 import F2Sum, hom_boundary, singleton
 from cartan.simplicial import (aw, boundary, degree_simplices, ez,
                                faces_of_dim, is_degenerate, product, shih)
@@ -21,6 +23,11 @@ def test_degenerate_detection():
     assert not is_degenerate((0, 1, 2))
     assert is_degenerate(product((0, 0, 1), (2, 2, 3)))
     assert not is_degenerate(product((0, 0, 1), (2, 3, 3)))
+
+
+def test_product_refuses_factors_of_unequal_degree():
+    with pytest.raises(ValueError, match="equal degree"):
+        product((0, 1), (0, 1, 2))
 
 
 def test_boundary_golden():

@@ -51,6 +51,12 @@ def test_compose_worked_example():
                          (1, 2, 4, 2, 3, 2, 1)])
 
 
+def test_compose_refuses_a_slot_outside_the_outer_arity():
+    for p in (0, 3, -1):
+        with pytest.raises(ValueError, match=r"outside 1\.\.2"):
+            surj_compose((1, 2, 1), p, (1, 2))
+
+
 def test_compose_units():
     for s in [(1, 2), (1, 2, 1), (1, 3, 2, 3, 4, 3)]:
         assert surj_compose(s, 2, (1,)) == singleton(s)
