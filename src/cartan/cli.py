@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 a verification sweep found counterexamples,
 2 malformed arguments or input files, 3 shape mismatch (ambient or slot
-disagreements, a cap exceeded), 4 cocycle precondition violated.
+disagreements, a cap exceeded, a result dimension too long to print),
+4 cocycle precondition violated.
 Every work knob has a cap: the ambient dimension (`CARTAN_MAX_N`, itself
 at most `MAX_AMBIENT_CAP`), the witness index `--i` of `zeta`, `defect`
 and `verify cartan`, the sweep's `--trials` alone and times its ambient's
@@ -121,7 +122,12 @@ def require_cocycle(path: str, c: Cochain) -> None:
 
 
 def print_cochain(c: Cochain) -> None:
-    print(json.dumps(c.to_dict(), sort_keys=True))
+    try:
+        text = json.dumps(c.to_dict(), sort_keys=True)
+    except ValueError as exc:
+        # as in read_json: an integer too long to convert, here the result's dimension
+        raise CliError(SHAPE, f"result dimension too long to print: {exc}") from None
+    print(text)
 
 
 def format_surjections(terms, as_json: bool) -> str:
@@ -153,8 +159,7 @@ def parse_perm_tuple(data) -> tuple:
         raise CliError(PARSE, "expected a nonempty list of permutations")
     perms = []
     for p in data:
-        if not isinstance(p, list) or any(
-                not isinstance(v, int) or isinstance(v, bool) for v in p):
+        if not isinstance(p, list) or any(type(v) is not int for v in p):
             raise CliError(PARSE, f"not a permutation: {brief(p)}")
         perms.append(tuple(p))
     r = len(perms[0])
@@ -190,7 +195,7 @@ def parse_surjection(text: str) -> tuple[int, ...]:
         # as in read_json: bad JSON or an integer too long to convert
         raise CliError(PARSE, f"{brief(text)}: {exc}") from None
     if (not isinstance(data, list) or not data
-            or any(not isinstance(v, int) or isinstance(v, bool) for v in data)):
+            or any(type(v) is not int for v in data)):
         raise CliError(PARSE, f"expected a nonempty array of integers: {brief(text)}")
     seq = tuple(data)
     if min(seq) < 1 or not is_basis_surjection(seq, max(seq)):

@@ -209,10 +209,7 @@ class Cochain:
             raise ValueError(f"missing cochain field: {exc.args[0]}") from None
         if not isinstance(support, list) or any(not isinstance(f, list) for f in support):
             raise ValueError("support must be a list of faces")
-        c = cls(ambient, dim, support)
-        if dim < 0:
-            raise ValueError("dim must be nonnegative")
-        return c
+        return cls(ambient, dim, support)
 
 
 def ones(n: int) -> Cochain:

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 import cartan
 from cartan import cli
-from cartan.cochains import BRIEF, Cochain, cup, delta, ones
+from cartan.cochains import (BRIEF, Cochain, cartan_coboundary, cartan_defect, cup, delta,
+                             ones, steenrod_square)
 from cartan.f2 import F2Sum, singleton
 from cartan.simplicial import faces_of_dim
 from cartan.surjection import surj_compose, table_reduction
@@ -163,15 +164,38 @@ def test_error_lines_echo_a_bounded_prefix(capsys, tmp_path):
         assert len(line) <= len(str(tmp_path)) + 100 + BRIEF, (case, len(line))
 
 
-def test_boolean_and_negative_fields_exit_two(capsys, tmp_path):
+def test_boolean_fields_exit_two(capsys, tmp_path):
     for i, doc in enumerate(({"ambient": True, "dim": 0, "support": [[0]]},
                              {"ambient": 1, "dim": True, "support": [[0, 1]]},
-                             {"ambient": 1, "dim": 0, "support": [[True]]},
-                             {"ambient": 1, "dim": -1, "support": []})):
+                             {"ambient": 1, "dim": 0, "support": [[True]]})):
         path = tmp_path / f"c{i}.json"
         path.write_text(json.dumps(doc))
         rc, out = run(capsys, "cup", "--i", "0", str(path), str(path))
         assert rc == 2 and out == ""
+
+
+def test_negative_dim_document_reads_as_zero(capsys, tmp_path):
+    # a dim outside 0..ambient with an empty support is the zero cochain
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"ambient": 1, "dim": -1, "support": []}))
+    assert run(capsys, "cup", "--i", "0", str(path), str(path)) == (
+        0, '{"ambient": 1, "dim": -2, "support": []}\n')
+
+
+def test_result_dimensions_too_long_to_print_exit_three(capsys, tmp_path, cochain_file):
+    # a result whose dim has more digits than Python converts is refused like such an
+    # integer in an input, with one line and no traceback
+    alpha = cochain_file("a.json", 2, 1, [(0, 1), (0, 2)])
+    long_dim = tmp_path / "long-dim.json"
+    long_dim.write_text(f'{{"ambient": 1, "dim": {"9" * 4300}, "support": []}}')
+    for argv in (("sq", "--k", "9" * 4300, alpha),
+                 ("cup", "--i", "0", str(long_dim), str(long_dim))):
+        rc = cli.main(list(argv))
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (3, ""), argv[0]
+        line, = captured.err.splitlines()
+        assert line.startswith("error: result dimension too long to print: "), argv[0]
+        assert len(line) <= 200, argv[0]
 
 
 def test_zeta_out_of_range_is_fast_and_empty(capsys, cochain_file):
@@ -182,6 +206,11 @@ def test_zeta_out_of_range_is_fast_and_empty(capsys, cochain_file):
     assert time.perf_counter() - t0 < 2
     assert rc == 0
     assert out == '{"ambient": 2, "dim": -9, "support": []}\n'
+    # and the document reads back, as the zero cochain it is
+    witness = Path(alpha).with_name("z.json")
+    witness.write_text(out)
+    assert run(capsys, "cup", "--i", "0", str(witness), str(witness)) == (
+        0, '{"ambient": 2, "dim": -18, "support": []}\n')
 
 
 def test_witness_index_and_trials_caps(capsys, cochain_file):
@@ -571,3 +600,54 @@ def test_surj_compose_values_cap_boundary(outer, inner, data, slack):
     check_values_cap(["surj-compose", json.dumps(list(outer)), str(p),
                       json.dumps(list(inner)), "--json"], values, slack,
                      surj_compose(outer, p, inner))
+
+
+@st.composite
+def cochains(draw, n):
+    """A cochain on the n-simplex: of dim 0..n with a random support, or of dim -3..n+3."""
+    dim = draw(st.one_of(st.integers(0, n), st.integers(-3, n + 3)))
+    return Cochain(n, dim, [f for f in faces_of_dim(n, dim) if draw(st.booleans())])
+
+
+def cocycles(n):
+    return st.one_of(st.just(ones(n)), cochains(n).map(delta))
+
+
+# command -> (its index flag, the library call it prints, the index at which the call on
+# operands of dims d has dim t; zeta and defect cap theirs at MAX_WITNESS_INDEX)
+ROUND_TRIPS = {"cup": ("--i", cup, lambda t, d: sum(d) - t),
+               "sq": ("--k", steenrod_square, lambda t, d: t - d[0]),
+               "zeta": ("--i", cartan_coboundary, lambda t, d: 2 * sum(d) - 1 - t),
+               "defect": ("--i", cartan_defect, lambda t, d: 2 * sum(d) - t)}
+
+
+def test_every_printed_cochain_reads_back(tmp_path):
+    # whatever dim a command prints, below 0 and above the ambient too, the document
+    # loads as the CLI loads an input and equals the library's result
+    outside = []
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.sampled_from(sorted(ROUND_TRIPS)), st.integers(0, 4), st.data())
+    def round_trip(command, n, data):
+        flag, op, index_for = ROUND_TRIPS[command]
+        operands = [data.draw(cochains(n) if command == "cup" else cocycles(n))
+                    for _ in range(1 if command == "sq" else 2)]
+        # aim at an output dim of the simplex, or one from 3 below 0 to 3 above n
+        dim = data.draw(st.one_of(st.integers(0, n), st.integers(-3, n + 3)))
+        index = max(0, index_for(dim, [c.dim for c in operands]))
+        if command in ("zeta", "defect"):
+            index = min(index, cli.MAX_WITNESS_INDEX)
+        paths = [tmp_path / f"in{k}.json" for k in range(len(operands))]
+        for path, c in zip(paths, operands):
+            path.write_text(json.dumps(c.to_dict()))
+        rc, out, err = run_quietly([command, flag, str(index), *map(str, paths)])
+        want = op(index, *operands)
+        assert (rc, out, err) == (0, json.dumps(want.to_dict(), sort_keys=True) + "\n", "")
+        (tmp_path / "out.json").write_text(out)
+        assert cli.load_cochain(str(tmp_path / "out.json"), None) == want
+        outside.append(not 0 <= want.dim <= n)
+
+    round_trip()
+    # the floor keeps the documents of a dim outside 0..n in play, so the check cannot
+    # pass on documents of the simplex's own dims alone
+    assert sum(outside) >= 30, sum(outside)

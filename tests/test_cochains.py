@@ -90,6 +90,11 @@ def test_json_round_trip():
     c = Cochain(3, 1, [(1, 3), (0, 1)])
     assert Cochain.from_dict(c.to_dict()) == c
     assert c.to_dict() == {"ambient": 3, "dim": 1, "support": [[0, 1], [1, 3]]}
+    # a dim outside 0..ambient, as of an out-of-range product, reads back as the zero cochain
+    top = delta(Cochain(2, 2, [(0, 1, 2)]))
+    for c in (Cochain(2, -9), Cochain(2, 4), top):
+        assert Cochain.from_dict(c.to_dict()) == c
+    assert top.to_dict() == {"ambient": 2, "dim": 3, "support": []}
 
 
 def test_from_dict_rejects_junk():
@@ -102,7 +107,7 @@ def test_from_dict_rejects_junk():
                 {"ambient": True, "dim": 0, "support": [[0]]},
                 {"ambient": 2, "dim": False, "support": [[0]]},
                 {"ambient": 2, "dim": 0, "support": [[True]]},
-                {"ambient": 2, "dim": -1, "support": []}):
+                {"ambient": 2, "dim": -1, "support": [[0]]}):
         with pytest.raises(ValueError):
             Cochain.from_dict(doc)
     with pytest.raises(ValueError):
