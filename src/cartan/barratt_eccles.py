@@ -22,6 +22,7 @@ term built here comes from arity-2 labels; `be_compose` and
 from __future__ import annotations
 
 from functools import partial
+from itertools import filterfalse, starmap
 
 from .f2 import F2Sum, singleton
 from .simplicial import aw, ez, is_degenerate, product, shih
@@ -29,13 +30,16 @@ from .simplicial import aw, ez, is_degenerate, product, shih
 ID2 = (1, 2)
 SWAP2 = (2, 1)
 MID_SWAP4 = (1, 3, 2, 4)
+# block_compose on each of the 8 elements (sigma, a, b) of S2 wr S2
+_BLOCKS = {(sigma, a, b): a + (b[0] + 2, b[1] + 2) if sigma == ID2 else (a[0] + 2, a[1] + 2) + b
+           for sigma in (ID2, SWAP2) for a in (ID2, SWAP2) for b in (ID2, SWAP2)}
 
 
 def compose_perm(s: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:
     """Composite permutation: apply t first, then s."""
     if len(s) != len(t):
         raise ValueError("cannot compose permutations of different arity")
-    return tuple(s[v - 1] for v in t)
+    return tuple([s[v - 1] for v in t])
 
 
 def block_compose(sigma: tuple[int, ...], a: tuple[int, ...],
@@ -43,19 +47,18 @@ def block_compose(sigma: tuple[int, ...], a: tuple[int, ...],
     """S2 wr S2 -> S4: a acts on the block {1,2}, b on {3,4}, then sigma permutes the blocks.
 
     The identity sigma gives a + (b + 2); the swap gives (a + 2) + b, so
-    e.g. block_compose(SWAP2, ID2, ID2) swaps {1,2} with {3,4}.
+    e.g. block_compose(SWAP2, ID2, ID2) swaps {1,2} with {3,4}.  Every
+    other argument, unhashable ones included, raises ValueError.
     """
-    if len(a) != 2 or len(b) != 2 or sigma not in (ID2, SWAP2):
-        raise ValueError("block_compose takes arity-2 permutations only")
-    if sigma == ID2:
-        return a + (b[0] + 2, b[1] + 2)
-    return (a[0] + 2, a[1] + 2) + b
+    try:
+        return _BLOCKS[sigma, a, b]
+    except (KeyError, TypeError):  # TypeError: an unhashable argument
+        raise ValueError("block_compose takes arity-2 permutations only") from None
 
 
 def nerve_map(fn, c: F2Sum) -> F2Sum:
     """Entry-wise application of a permutation map, normalized."""
-    images = (tuple(fn(s) for s in e) for e in c)
-    return F2Sum(t for t in images if not is_degenerate(t))
+    return F2Sum(filterfalse(is_degenerate, [tuple(map(fn, e)) for e in c]))
 
 
 def sigma_act(sigma: tuple[int, ...], c: F2Sum) -> F2Sum:
@@ -73,13 +76,10 @@ def be_compose(e: tuple, x: F2Sum, y: F2Sum) -> F2Sum:
     if any(len(s[0]) != 2 for s in (e, *x, *y)):
         raise ValueError("be_compose takes arity-2 elements only")
 
-    def composites():
-        inner = ez(F2Sum((a, b) for a in x for b in y))
-        for z in ez(F2Sum((e, t) for t in inner)):
-            w = tuple(block_compose(sigma, a, b) for sigma, (a, b) in z)
-            if not is_degenerate(w):
-                yield w
-    return F2Sum(composites())
+    inner = ez(F2Sum([(a, b) for a in x for b in y]))
+    outer = ez(F2Sum([(e, t) for t in inner]))
+    return F2Sum(filterfalse(is_degenerate, [
+        tuple([block_compose(sigma, a, b) for sigma, (a, b) in z]) for z in outer]))
 
 
 def cup_generator(i: int) -> tuple:
@@ -132,11 +132,10 @@ def embedding_homotopy(c: F2Sum) -> F2Sum:
     """
 
     def per_basis(e):
-        for i in range(len(e)):
-            t = tuple(compose_perm(MID_SWAP4, outer_embed(s)) for s in e[:i + 1]) \
-                + tuple(diag_embed(s) for s in e[i:])
-            if not is_degenerate(t):
-                yield t
+        twisted = [compose_perm(MID_SWAP4, outer_embed(s)) for s in e]
+        diagonal = list(map(diag_embed, e))
+        return filterfalse(is_degenerate, [tuple(twisted[:i + 1] + diagonal[i:])
+                                           for i in range(len(e))])
 
     return c.map_basis(per_basis)
 
@@ -151,10 +150,9 @@ def diagonal_homotopy(c: F2Sum) -> F2Sum:
     def per_basis(e):
         if len(e[0]) != 2:
             raise ValueError("diagonal_homotopy takes arity-2 elements only")
-        for z in shih(singleton(product(e, e))):
-            w = tuple(block_compose(ID2, a, b) for a, b in z)
-            if not is_degenerate(w):
-                yield w
+        blocks = partial(block_compose, ID2)
+        return filterfalse(is_degenerate, [tuple(starmap(blocks, z))
+                                           for z in shih(singleton(product(e, e)))])
 
     return c.map_basis(per_basis)
 

@@ -110,9 +110,10 @@ def load_cochain(path: str, n: int | None) -> Cochain:
         raise CliError(PARSE, f"{path}: {exc}") from None
     cap = max_ambient()
     if c.ambient > cap:
-        raise CliError(SHAPE, f"{path}: ambient {c.ambient} exceeds the cap {cap} (CARTAN_MAX_N)")
+        raise CliError(SHAPE, f"{path}: ambient {brief(c.ambient)} exceeds the cap {cap}"
+                              " (CARTAN_MAX_N)")
     if n is not None and c.ambient != n:
-        raise CliError(SHAPE, f"{path}: ambient {c.ambient} does not match --n {n}")
+        raise CliError(SHAPE, f"{path}: ambient {brief(c.ambient)} does not match --n {n}")
     return c
 
 

@@ -137,12 +137,12 @@ class Cochain:
             raise ValueError("ambient dimension must be nonnegative")
         faces = [tuple(f) for f in support]
         if dim < 0 and faces:
-            raise ValueError(f"a cochain of dimension {dim} has no faces to support it")
+            raise ValueError(f"a cochain of dimension {brief(dim)} has no faces to support it")
         if not _plain_faces(faces, dim, ambient):
             # some face may be bad: find the first one, in input order
             for f in faces:
                 if len(f) != dim + 1:
-                    raise ValueError(f"face {brief(f)} does not have dimension {dim}")
+                    raise ValueError(f"face {brief(f)} does not have dimension {brief(dim)}")
                 if any(type(v) is not int for v in f):
                     raise ValueError(f"face {brief(f)} has non-integer vertices")
                 if any(a >= b for a, b in zip(f, f[1:])):

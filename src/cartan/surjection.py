@@ -23,13 +23,12 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 
 from .f2 import F2Sum
+from .simplicial import is_degenerate
 
 
 def is_basis_surjection(seq: tuple[int, ...], r: int) -> bool:
     """Onto {1..r} with no equal neighbours."""
-    if any(a == b for a, b in zip(seq, seq[1:])):
-        return False
-    return len(set(seq)) == r
+    return not is_degenerate(seq) and len(set(seq)) == r
 
 
 def surj_boundary(c: F2Sum) -> F2Sum:
@@ -49,7 +48,7 @@ def surj_act(sigma: tuple[int, ...], s: tuple[int, ...]) -> tuple[int, ...]:
     """Relabel the values of a basis element by a permutation of its arity."""
     if len(sigma) != max(s):
         raise ValueError("arity mismatch between permutation and surjection")
-    return tuple(sigma[v - 1] for v in s)
+    return tuple([sigma[v - 1] for v in s])
 
 
 def surj_compose(s2: tuple[int, ...], p: int, s1: tuple[int, ...]) -> F2Sum:

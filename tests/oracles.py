@@ -20,7 +20,9 @@ plans nor the evaluator.
 with no action and no cut plan.
 `ez_reference` and `shih_reference` build every shuffle by applying
 degeneracy operators one index at a time, where the package walks its
-shuffles directly.
+shuffles directly.  `be_compose_reference` shuffles with
+`ez_reference` and composes each label letter by letter with
+`wreath_reference`, where the package looks labels up in a table.
 Two helpers are not references: `value` reads a cochain on one face,
 and `act_word` runs one surjection word as a whole action through the
 package's one action entry, `_act_cochain` on the `_operands` bundle,
@@ -118,6 +120,21 @@ def ez_reference(t: F2Sum) -> F2Sum:
                 if not is_degenerate(z):
                     yield z
     return F2Sum(odd_terms(shuffles()))
+
+
+def wreath_reference(sigma: tuple, a: tuple, b: tuple) -> tuple:
+    """The element of S2 wr S2 in S4, letter by letter: letter v of block k = (v - 1) // 2
+    goes through that block's permutation, (a, b)[k], then to block sigma(k)."""
+    return tuple(2 * (sigma[(v - 1) // 2] - 1) + (a, b)[(v - 1) // 2][(v - 1) % 2]
+                 for v in (1, 2, 3, 4))
+
+
+def be_compose_reference(e: tuple, x: F2Sum, y: F2Sum) -> F2Sum:
+    """Operadic composition e o (x, y) of arity-2 elements, shuffled by `ez_reference`."""
+    inner = ez_reference(F2Sum((a, b) for a in x for b in y))
+    labels = (tuple(wreath_reference(sigma, a, b) for sigma, (a, b) in z)
+              for z in ez_reference(F2Sum((e, t) for t in inner)))
+    return F2Sum(odd_terms(w for w in labels if not is_degenerate(w)))
 
 
 def shih_reference(c: F2Sum) -> F2Sum:

@@ -1,5 +1,6 @@
 """Permutation calculus and the arity-4 homotopies built from the two embeddings."""
 
+from itertools import chain
 from itertools import product as product_of
 
 import pytest
@@ -12,6 +13,9 @@ from cartan.barratt_eccles import (ID2, MID_SWAP4, SWAP2, be_compose,
                                    sigma_act, squared_product)
 from cartan.f2 import F2Sum, hom_boundary, singleton
 from cartan.simplicial import aw, boundary, product
+from cartan.verify import arity_basis
+
+from oracles import be_compose_reference, wreath_reference
 
 E4 = (1, 2, 3, 4)
 P23 = (1, 3, 2, 4)
@@ -40,6 +44,7 @@ def test_block_compose_is_the_wreath_product():
     for sigma, a, b in product_of(s2, s2, s2):
         w = block_compose(sigma, a, b)
         images.add(w)
+        assert w == wreath_reference(sigma, a, b)
         # the blocks act inside {1,2} and {3,4}, then sigma moves the blocks
         assert w == compose_perm(outer_embed(sigma), block_compose(ID2, a, b))
         # and the two blocks act independently
@@ -52,6 +57,14 @@ def test_block_compose_is_the_wreath_product():
     for embed in (outer_embed, diag_embed):
         for s, t in product_of(s2, s2):
             assert embed(compose_perm(s, t)) == compose_perm(embed(s), embed(t))
+
+
+def test_block_compose_refuses_every_argument_off_the_table():
+    # length-2 non-permutations, an unhashable list and arity 3, in each argument
+    for bad in ((1, 1), (0, 1), [1, 2], (1, 2, 3)):
+        for args in ((bad, ID2, ID2), (ID2, bad, ID2), (ID2, ID2, bad)):
+            with pytest.raises(ValueError, match="arity-2 permutations only"):
+                block_compose(*args)
 
 
 def test_embeddings():
@@ -103,6 +116,19 @@ def test_be_compose_respects_boundaries():
            + be_compose(e, boundary(a), b)
            + be_compose(e, a, boundary(b)))
     assert lhs == rhs
+
+
+def test_be_compose_matches_the_degeneracy_reference():
+    nonzero = 0
+    for d in range(6):
+        for e in arity_basis(2, d):
+            for x in chain.from_iterable(arity_basis(2, k) for k in range(3)):
+                for y in chain.from_iterable(arity_basis(2, k) for k in range(3)):
+                    out = be_compose(e, singleton(x), singleton(y))
+                    assert out == be_compose_reference(e, singleton(x), singleton(y)), (e, x, y)
+                    nonzero += bool(out)
+    # every one of the 432 composites is nonzero, so none of them agrees vacuously
+    assert nonzero == 432
 
 
 def test_squared_product_is_the_outer_nerve_map():

@@ -198,6 +198,24 @@ def test_result_dimensions_too_long_to_print_exit_three(capsys, tmp_path, cochai
         assert len(line) <= 200, argv[0]
 
 
+def test_long_dim_and_ambient_fields_echo_a_bounded_prefix(capsys, tmp_path):
+    # 4300 digits, the most a document's integer may have: each document is refused with
+    # its usual code, and its one error line shows at most BRIEF characters of the field
+    digits = "9" * 4300
+    docs = {"dim": (f'{{"ambient": 1, "dim": {digits}, "support": [[0]]}}', 2),
+            "negative-dim": (f'{{"ambient": 1, "dim": -{digits}, "support": [[0]]}}', 2),
+            "ambient": (f'{{"ambient": {digits}, "dim": 0, "support": []}}', 3)}
+    for name, (text, code) in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        rc = cli.main(["sq", "--k", "0", str(path)])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (code, ""), name
+        line, = captured.err.splitlines()
+        assert line.startswith("error: ") and "..." in line, name
+        assert len(line) <= len(str(path)) + 100 + BRIEF, (name, len(line))
+
+
 def test_zeta_out_of_range_is_fast_and_empty(capsys, cochain_file):
     # the witness has dimension 2 + 2 - 12 - 1 < 0, so no witness surjection is built
     alpha = cochain_file("a.json", 2, 1, [(0, 1), (0, 2)])

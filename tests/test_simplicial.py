@@ -3,7 +3,8 @@
 import pytest
 
 from cartan.f2 import F2Sum, hom_boundary, singleton
-from cartan.simplicial import (aw, boundary, degree_simplices, ez,
+from cartan import simplicial
+from cartan.simplicial import (SHUFFLE_MEMO_DEGREE, aw, boundary, degree_simplices, ez,
                                faces_of_dim, is_degenerate, product, shih)
 from cartan.verify import arity_basis, product_basis, tensor_basis
 
@@ -116,6 +117,18 @@ def test_shuffle_walk_matches_the_degeneracy_references():
             assert shih(z) == shih_reference(z), e
             if d <= 7:
                 assert ez(singleton((e, e))) == ez_reference(singleton((e, e))), e
+
+
+def test_ez_on_degenerate_factors_and_past_the_getter_memo():
+    # a degenerate factor shuffles into degenerate simplices only
+    for t in (((0, 0, 1), (2, 3)), ((0, 1), (2, 2)), ((5,), (1, 1, 2))):
+        assert ez(singleton(t)) == ez_reference(singleton(t)) == F2Sum(), t
+    assert (2, 1) in simplicial._SHUFFLE_GETTERS
+    # p + q = 13 builds its getters per call: the same sum, and nothing kept
+    t = (tuple(range(7)), tuple(range(10, 18)))
+    assert len(ez(singleton(t))) == 1716
+    assert ez(singleton(t)) == ez_reference(singleton(t))
+    assert all(p + q <= SHUFFLE_MEMO_DEGREE for p, q in simplicial._SHUFFLE_GETTERS)
 
 
 def test_face_enumeration():
