@@ -23,7 +23,7 @@ import os
 import sys
 from math import comb
 
-from .cochains import (Cochain, brief, cartan_coboundary, cartan_defect, cup, delta,
+from .cochains import (BRIEF, Cochain, brief, cartan_coboundary, cartan_defect, cup, delta,
                        steenrod_square)
 from .f2 import F2Sum, singleton
 from .simplicial import is_degenerate
@@ -67,7 +67,6 @@ class CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-        self.message = message
 
 
 def max_ambient() -> int:
@@ -117,11 +116,6 @@ def load_cochain(path: str, n: int | None) -> Cochain:
     return c
 
 
-def require_cocycle(path: str, c: Cochain) -> None:
-    if not delta(c).is_zero:
-        raise CliError(COCYCLE, f"{path}: not a cocycle")
-
-
 def print_cochain(c: Cochain) -> None:
     try:
         text = json.dumps(c.to_dict(), sort_keys=True)
@@ -143,15 +137,16 @@ def format_surjections(terms, as_json: bool) -> str:
 def cmd_cochain_op(args) -> int:
     """Load the cochain operands on one simplex, check them, and print `args.op` of them."""
     if args.witness:
-        require_at_most(args.command, "--i", args.i, MAX_WITNESS_INDEX)
+        require_at_most(args.command, "--i", args.index, MAX_WITNESS_INDEX)
     paths = [args.alpha] + ([args.beta] if "beta" in args else [])
     cochains = [load_cochain(path, args.n) for path in paths]
     if any(c.ambient != cochains[0].ambient for c in cochains):
         raise CliError(SHAPE, "cochains live on different ambient simplices")
     if args.cocycles:
         for path, c in zip(paths, cochains):
-            require_cocycle(path, c)
-    print_cochain(args.op(args, *cochains))
+            if not delta(c).is_zero:
+                raise CliError(COCYCLE, f"{path}: not a cocycle")
+    print_cochain(args.op(args.index, *cochains))
     return OK
 
 
@@ -260,39 +255,42 @@ def nonneg(text: str) -> int:
     return value
 
 
+class Parser(argparse.ArgumentParser):
+    """Parses `cartan` and its subcommands; cuts an error message to 4 BRIEF characters."""
+
+    def error(self, message):
+        # argparse echoes a bad int or choice whole; a bad suite name of BRIEF characters makes 222
+        super().error(message if len(message) <= 4 * BRIEF else message[:4 * BRIEF] + "...")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = Parser(
         prog="cartan",
         description="Cup-i products, Steenrod squares and the Cartan "
                     "coboundary witness on simplex cochains over GF(2).")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def cochain_cmd(name, op, helptext, cocycles, beta=True, witness=False):
+    def cochain_cmd(name, op, index, helptext, cocycles, beta=True, witness=False):
+        flag, indexhelp = index
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--n", type=nonneg, default=None,
                        help="expected ambient dimension")
         p.add_argument("alpha", help="cochain JSON file")
         if beta:
             p.add_argument("beta", help="cochain JSON file")
+        # after the positionals, so a missing-arguments line names them first
+        p.add_argument(f"--{flag}", dest="index", metavar=flag.upper(), type=nonneg,
+                       required=True, help=indexhelp)
         p.set_defaults(handler=cmd_cochain_op, op=op, cocycles=cocycles, witness=witness)
-        return p
 
-    p = cochain_cmd("cup", lambda args, a, b: cup(args.i, a, b),
-                    "cup-i product of two cochains", cocycles=False)
-    p.add_argument("--i", type=nonneg, required=True, help="cup index")
-
-    p = cochain_cmd("sq", lambda args, a: steenrod_square(args.k, a),
-                    "chain-level Steenrod square of a cocycle", cocycles=True, beta=False)
-    p.add_argument("--k", type=nonneg, required=True, help="square index")
-
-    p = cochain_cmd("zeta", lambda args, a, b: cartan_coboundary(args.i, a, b),
-                    "Cartan coboundary witness of two cocycles", cocycles=True, witness=True)
-    p.add_argument("--i", type=nonneg, required=True, help="witness index")
-
-    p = cochain_cmd("defect", lambda args, a, b: cartan_defect(args.i, a, b),
-                    "Cartan defect of two cocycles (zero when the witness works)",
-                    cocycles=True, witness=True)
-    p.add_argument("--i", type=nonneg, required=True, help="witness index")
+    cochain_cmd("cup", cup, ("i", "cup index"), "cup-i product of two cochains", cocycles=False)
+    cochain_cmd("sq", steenrod_square, ("k", "square index"),
+                "chain-level Steenrod square of a cocycle", cocycles=True, beta=False)
+    cochain_cmd("zeta", cartan_coboundary, ("i", "witness index"),
+                "Cartan coboundary witness of two cocycles", cocycles=True, witness=True)
+    cochain_cmd("defect", cartan_defect, ("i", "witness index"),
+                "Cartan defect of two cocycles (zero when the witness works)",
+                cocycles=True, witness=True)
 
     p = sub.add_parser("tr", help="table reduction of a tuple of permutations")
     p.add_argument("element", help="JSON file: list of one-line permutations")
@@ -333,7 +331,7 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except CliError as exc:
-        print(f"error: {exc.message}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return exc.code
 
 

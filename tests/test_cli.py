@@ -329,17 +329,43 @@ def test_importing_the_cli_loads_no_dataclasses():
 
 def test_argparse_errors_exit_two(capsys, cochain_file):
     alpha = cochain_file("a.json", 2, 1, [(0, 1)])
+    long = "x" * 20_000
     for argv, error in ((["cup", alpha, alpha], "the following arguments are required: --i"),
                         (["no-such-command"], "argument command: invalid choice"),
                         (["verify", "no-such-suite"], "argument suite: invalid choice"),
                         (["cup", "--i", "-1", alpha, alpha], "argument --i: must be nonnegative"),
                         (["sq", "--k", "x", alpha], "argument --k: 'x' is not an integer"),
                         (["verify", "--i", "0", "--n", "2", "--trials", "-5"],
-                         "argument --trials: must be nonnegative")):
+                         "argument --trials: must be nonnegative"),
+                        # the longest message of a value of BRIEF characters is not cut
+                        (["verify", "y" * BRIEF],
+                         f"argument suite: invalid choice: '{'y' * BRIEF}' (choose from"),
+                        # argparse itself would echo these three values whole
+                        (["verify", "--seed", long], "argument --seed: invalid int value: 'xxx"),
+                        (["verify", long], "argument suite: invalid choice: 'xxx"),
+                        ([long], "argument command: invalid choice: 'xxx")):
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
         errors = [line for line in captured.err.splitlines() if "error:" in line]
         assert captured.out == "" and len(errors) == 1 and f"error: {error}" in errors[0]
+        # only a message past 4 BRIEF characters is cut, and the CI entry-point step
+        # holds its line to 300 bytes, newline included
+        assert errors[0].endswith("...") == (long in argv), errors[0][-40:]
+        assert len(errors[0].encode()) < 300, (argv[-1][:16], len(errors[0]))
+
+
+def test_cochain_commands_name_their_arguments_in_order(capsys):
+    # the index flag is added after the positionals: usage lists it before them, as an
+    # option, and the missing-arguments line after them
+    for command, usage, missing in (("cup", "--i I alpha beta", "alpha, beta, --i"),
+                                    ("sq", "--k K alpha", "alpha, --k"),
+                                    ("zeta", "--i I alpha beta", "alpha, beta, --i"),
+                                    ("defect", "--i I alpha beta", "alpha, beta, --i")):
+        assert cli.main([command]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.splitlines() == [
+            f"usage: cartan {command} [-h] [--n N] {usage}",
+            f"cartan {command}: error: the following arguments are required: {missing}"]
 
 
 def test_ambient_cap(capsys, cochain_file, monkeypatch):

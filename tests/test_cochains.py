@@ -11,7 +11,7 @@ from cartan.barratt_eccles import (MID_SWAP4, SWAP2, cup_generator, diag_embed,
                                    diagonal_homotopy, embedding_homotopy,
                                    product_of_squares, sigma_act, squared_product)
 from cartan.cli import MAX_WITNESS_INDEX
-from cartan.cochains import (Cochain, _act_cochain, _cut_plans, _operands, _seeds,
+from cartan.cochains import (Cochain, _act_cochain, _clear_memos, _cut_plans, _operands, _seeds,
                              cartan_coboundary, cartan_defect, cup, cup_surjections, delta, ones,
                              square_surjections, squared_product_surjections, steenrod_square,
                              witness_surjections)
@@ -274,7 +274,7 @@ def test_steenrod_square_conventions():
     overflow = steenrod_square(3, a)
     assert overflow.is_zero and overflow.dim == 4
     # a negative index is zero in dimension dim a + k too, returned before any cut plan
-    _cut_plans.cache_clear()
+    _clear_memos()
     assert steenrod_square(-1, a) == Cochain(2, 0)
     assert steenrod_square(-2, a) == Cochain(2, -1)
     assert _cut_plans.cache_info().misses == 0
@@ -430,7 +430,7 @@ def test_cartan_defect_rejects_non_cocycles():
     # defect dimensions both lie in the simplex
     a = Cochain(4, 1, [(0, 1)])
     c = delta(Cochain(4, 0, [(1,)]))
-    _cut_plans.cache_clear()
+    _clear_memos()
     for x, y in ((a, a), (a, c), (c, a)):
         with pytest.raises(ValueError, match="cocycles"):
             cartan_defect(0, x, y)

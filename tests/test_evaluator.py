@@ -8,9 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cartan.cochains
-from cartan.cochains import (Cochain, _act_cochain, _cut_plans, _defect_surjections,
-                             _operands, _schedule, _seed_plan, _seeded_faces,
-                             cartan_coboundary, cartan_defect, cup,
+from cartan.cochains import (Cochain, _act_cochain, _clear_memos, _cut_plans,
+                             _defect_surjections, _operands, _schedule, _seed_plan,
+                             _seeded_faces, cartan_coboundary, cartan_defect, cup,
                              cup_surjections, delta, ones, square_surjections,
                              squared_product_surjections, steenrod_square,
                              witness_surjections)
@@ -128,11 +128,10 @@ def test_delta_matches_the_reference_along_a_sequence(seq):
         assert delta(a) == delta_reference(a)
 
 
-def test_delta_memo_fills_on_first_use(monkeypatch):
+def test_delta_memo_fills_on_first_use():
     # one mask per support face met and at most n - d cofaces handed a bit each, not a
     # whole (16, d) table; a coface is decoded into its tuple only if delta returns it
-    memo = cartan.cochains._COFACES
-    monkeypatch.setattr(cartan.cochains, "_COFACES", cartan.cochains._Memo(memo.fill))
+    _clear_memos()
     rng = random.Random(5)
     n = 16
     for d in (0, 4, 8, 15):
@@ -147,11 +146,10 @@ def test_delta_memo_fills_on_first_use(monkeypatch):
         assert delta(da).is_zero and not cartan.cochains._COFACES[n, d + 1][2]
 
 
-def test_delta_of_zero_adds_no_memo_key(monkeypatch):
+def test_delta_of_zero_adds_no_memo_key():
     # an out-of-range defect takes delta of a zero witness of negative dimension; that
     # must not leave an (ambient, dim) key behind for every index it is called with
-    memo = cartan.cochains._COFACES
-    monkeypatch.setattr(cartan.cochains, "_COFACES", cartan.cochains._Memo(memo.fill))
+    _clear_memos()
     a = delta(Cochain(2, 0, [(0,)]))
     delta(a)
     keys = set(cartan.cochains._COFACES)
@@ -369,7 +367,7 @@ def test_seeded_roots_match_the_scan(monkeypatch):
         roots["seeded"] += 1
         return faces
 
-    monkeypatch.setattr(cartan.cochains, "_SCHEDULES", cartan.cochains._Memo(_schedule))
+    _clear_memos()
     monkeypatch.setattr(cartan.cochains, "_seed_plan", plan)
     monkeypatch.setattr(cartan.cochains, "_seeded_faces", listed)
     rng = random.Random(22)
@@ -546,6 +544,27 @@ def test_schedules_live_as_long_as_the_cut_plans(monkeypatch):
         assert built == {cup_surjections: 2, witness_surjections: rounds,
                          _defect_surjections: rounds}
         assert len(schedules) == 2 and set(faces) == {(6, 3), (6, 4)}
+
+
+def test_clear_memos_empties_every_memo(monkeypatch):
+    # one clear leaves all seven memos empty, so the next defect compiles each of its two
+    # schedules once, however warm the memos were
+    lru = (_cut_plans, cup_surjections, witness_surjections, _defect_surjections)
+    memos = (cartan.cochains._SCHEDULES, cartan.cochains._FACES, cartan.cochains._COFACES)
+    built = Counter()
+    fill = cartan.cochains._SCHEDULES.fill
+    monkeypatch.setattr(cartan.cochains._SCHEDULES, "fill",
+                        lambda key: built.update([key[0]]) or fill(key))
+    rng = random.Random(9)
+    x, y = (delta(make_cochain(rng, 6, 0, "dense")) for _ in range(2))
+    assert cup(1, x, y) == cup_i_reference(1, x, y) and cartan_defect(0, x, y).is_zero
+    assert all(f.cache_info().currsize for f in lru) and all(memos)
+    _clear_memos()
+    assert not any(f.cache_info().currsize for f in lru) and not any(memos)
+    built.clear()
+    for _ in range(2):
+        assert cartan_defect(0, x, y).is_zero
+    assert built == {witness_surjections: 1, _defect_surjections: 1}
 
 
 def test_shared_operands_match_the_literal_defect_at_the_edges():
