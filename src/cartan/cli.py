@@ -28,7 +28,7 @@ from .cochains import (BRIEF, Cochain, brief, cartan_coboundary, cartan_defect, 
 from .f2 import F2Sum, singleton
 from .simplicial import is_degenerate
 from .surjection import is_basis_surjection, surj_compose, table_reduction
-from .verify import IDENTITIES, LEMMA_SUITES, STRUCTURAL_SUITES, run_cartan, run_identities
+from .verify import IDENTITIES, run_cartan, run_identities
 
 OK = 0
 FAILED = 1
@@ -112,7 +112,7 @@ def load_cochain(path: str, n: int | None) -> Cochain:
         raise CliError(SHAPE, f"{path}: ambient {brief(c.ambient)} exceeds the cap {cap}"
                               " (CARTAN_MAX_N)")
     if n is not None and c.ambient != n:
-        raise CliError(SHAPE, f"{path}: ambient {brief(c.ambient)} does not match --n {n}")
+        raise CliError(SHAPE, f"{path}: ambient {brief(c.ambient)} does not match --n {brief(n)}")
     return c
 
 
@@ -203,7 +203,7 @@ def cmd_surj_compose(args) -> int:
     s2 = parse_surjection(args.outer)
     s1 = parse_surjection(args.inner)
     if not 1 <= args.p <= max(s2):
-        raise CliError(SHAPE, f"slot {args.p} is out of range for arity {max(s2)}")
+        raise CliError(SHAPE, f"slot {brief(args.p)} is out of range for arity {max(s2)}")
     # one word of len(s2) + len(s1) - 1 values per nondecreasing (k-1)-tuple over 1..len(s1)
     k = s2.count(args.p)
     require_at_most("surj-compose", "values read",
@@ -225,7 +225,7 @@ def cmd_verify(args) -> int:
             raise CliError(PARSE, "the cartan sweep needs --i and --n")
         cap = max_ambient()
         if args.n > cap:
-            raise CliError(SHAPE, f"ambient {args.n} exceeds the cap {cap} (CARTAN_MAX_N)")
+            raise CliError(SHAPE, f"ambient {brief(args.n)} exceeds the cap {cap} (CARTAN_MAX_N)")
         require_at_most("verify cartan", "--i", args.i, MAX_WITNESS_INDEX)
         require_at_most("verify cartan", "--trials", args.trials, MAX_TRIALS)
         # the sweep samples cochains of dimension below max(n, 1) (`cocycle_dim_pool`)
@@ -256,11 +256,17 @@ def nonneg(text: str) -> int:
 
 
 class Parser(argparse.ArgumentParser):
-    """Parses `cartan` and its subcommands; cuts an error message to 4 BRIEF characters."""
+    """Parses `cartan` and its subcommands; cuts an error message to 4 BRIEF UTF-8 bytes."""
 
     def error(self, message):
-        # argparse echoes a bad int or choice whole; a bad suite name of BRIEF characters makes 222
-        super().error(message if len(message) <= 4 * BRIEF else message[:4 * BRIEF] + "...")
+        # argparse echoes a bad int or choice whole; a bad suite name of BRIEF characters makes
+        # 222 bytes. A lone surrogate of an argv that is not UTF-8 counts as the escape stderr
+        # prints for it, so the bytes are valid UTF-8 and "ignore" drops only a character the
+        # cut splits
+        data = message.encode(errors="backslashreplace")
+        if len(data) > 4 * BRIEF:
+            message = data[:4 * BRIEF].decode(errors="ignore") + "..."
+        super().error(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -305,8 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_surj_compose)
 
     p = sub.add_parser("verify", help="verification sweeps; default is the Cartan sweep")
-    p.add_argument("suite", nargs="?", default="cartan",
-                   choices=["cartan"] + sorted(LEMMA_SUITES) + sorted(STRUCTURAL_SUITES))
+    p.add_argument("suite", nargs="?", default="cartan", choices=["cartan", *IDENTITIES])
     p.add_argument("--i", type=nonneg, default=None, help="witness index (cartan sweep)")
     p.add_argument("--n", type=nonneg, default=None, help="ambient dimension (cartan sweep)")
     p.add_argument("--trials", type=nonneg, default=None,

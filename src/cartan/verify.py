@@ -3,7 +3,8 @@
 `IDENTITIES` holds every identity suite as data: a default degree
 bound, the largest bound `cartan verify` accepts, an enumerator of the
 basis elements of one degree, and labelled pairs (lhs, rhs) of linear
-maps that must agree.  `run_identities` checks every pair on every
+maps that must agree; `cartan verify` offers the suites in the table's
+order, after `cartan`.  `run_identities` checks every pair on every
 basis element through the degree bound, so coverage is exhaustive and
 no seed is involved.  The arity-2 basis has exactly two elements in
 each degree, which is why the four homotopy lemma suites go up to
@@ -135,9 +136,6 @@ IDENTITIES = {
         ("boundary-h1", hom_boundary(embedding_homotopy, boundary, boundary),
          lambda c: sigma_act(MID_SWAP4, nerve_map(outer_embed, c)) + nerve_map(diag_embed, c)),
     )),
-    "equiv-h1": (8, 12, partial(arity_basis, 2), (
-        ("equiv-h1", *_intertwined(embedding_homotopy)),
-    )),
     "boundary-h2": (8, 12, partial(arity_basis, 2), (
         ("outer-vs-squared-product", partial(nerve_map, outer_embed), squared_product),
         ("boundary-h2", hom_boundary(diagonal_homotopy, boundary, boundary),
@@ -145,15 +143,18 @@ IDENTITIES = {
         ("total-boundary", hom_boundary(cartan_homotopy, boundary, boundary),
          lambda c: sigma_act(MID_SWAP4, squared_product(c)) + product_of_squares(c)),
     )),
+    "equiv-h1": (8, 12, partial(arity_basis, 2), (
+        ("equiv-h1", *_intertwined(embedding_homotopy)),
+    )),
     "equiv-h2": (8, 12, partial(arity_basis, 2), (
         ("equiv-h2", *_intertwined(diagonal_homotopy)),
+    )),
+    "aw-ez-identity": (4, 8, tensor_basis, (
+        ("aw-ez-identity", lambda c: aw(ez(c)), lambda c: c),
     )),
     "shih-homotopy": (4, 4, product_basis, (
         ("shih-homotopy", hom_boundary(shih, boundary, boundary),
          lambda c: ez(aw(c)) + c),
-    )),
-    "aw-ez-identity": (4, 8, tensor_basis, (
-        ("aw-ez-identity", lambda c: aw(ez(c)), lambda c: c),
     )),
     "tr-chain-map": (4, 4, tr_basis, (
         ("chain-map", lambda c: surj_boundary(table_reduction(c)),
@@ -236,6 +237,7 @@ def run_cartan(i: int, n: int, trials: int = 100, seed: int = 0,
                         params={} if dims is None else {"dims": list(dims)})
 
 
+# read only by perfbench/run.py:297; ROADMAP item 2 deletes both once it reads IDENTITIES
 LEMMA_SUITES = {name: partial(run_identities, name)
                 for name in ("boundary-h1", "equiv-h1", "boundary-h2", "equiv-h2")}
 

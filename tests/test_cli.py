@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 import cartan
 from cartan import cli
-from cartan.cochains import (BRIEF, Cochain, cartan_coboundary, cartan_defect, cup, delta,
-                             ones, steenrod_square)
+from cartan.cochains import (BRIEF, Cochain, brief, cartan_coboundary, cartan_defect, cup,
+                             delta, ones, steenrod_square)
 from cartan.f2 import F2Sum, singleton
 from cartan.simplicial import faces_of_dim
 from cartan.surjection import surj_compose, table_reduction
@@ -216,6 +216,26 @@ def test_long_dim_and_ambient_fields_echo_a_bounded_prefix(capsys, tmp_path):
         assert len(line) <= len(str(path)) + 100 + BRIEF, (name, len(line))
 
 
+def test_long_integer_arguments_echo_a_bounded_prefix(capsys, cochain_file, monkeypatch):
+    # 4000 digits parse as an integer, so each value is refused as a shape mismatch; its one
+    # error line shows a bounded repr of the value, and a short value in full
+    monkeypatch.delenv("CARTAN_MAX_N", raising=False)
+    alpha = cochain_file("a.json", 2, 1, [(0, 1)])
+    for value in ("7", "9" * 4000):
+        shown = brief(int(value))
+        for argv, line in (
+                (["surj-compose", "[1,2,1]", value, "[1,2]"],
+                 f"error: slot {shown} is out of range for arity 2"),
+                (["sq", "--k", "0", "--n", value, alpha],
+                 f"error: {alpha}: ambient 2 does not match --n {shown}"),
+                (["verify", "--i", "0", "--n", value],
+                 f"error: ambient {shown} exceeds the cap {cli.DEFAULT_MAX_N} (CARTAN_MAX_N)")):
+            assert cli.main(argv) == 3
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", line + "\n"), argv[0]
+            assert len(line) <= len(alpha) + 100, (argv[0], len(line))
+
+
 def test_zeta_out_of_range_is_fast_and_empty(capsys, cochain_file):
     # the witness has dimension 2 + 2 - 12 - 1 < 0, so no witness surjection is built
     alpha = cochain_file("a.json", 2, 1, [(0, 1), (0, 2)])
@@ -329,7 +349,8 @@ def test_importing_the_cli_loads_no_dataclasses():
 
 def test_argparse_errors_exit_two(capsys, cochain_file):
     alpha = cochain_file("a.json", 2, 1, [(0, 1)])
-    long = "x" * 20_000
+    longs = ("x" * 20_000, "\u00e9" * 20_000, "\U0001d7d8" * 20_000, "\udcff" * 20_000)
+    long, two_byte, four_byte, lone = longs
     for argv, error in ((["cup", alpha, alpha], "the following arguments are required: --i"),
                         (["no-such-command"], "argument command: invalid choice"),
                         (["verify", "no-such-suite"], "argument suite: invalid choice"),
@@ -340,18 +361,26 @@ def test_argparse_errors_exit_two(capsys, cochain_file):
                         # the longest message of a value of BRIEF characters is not cut
                         (["verify", "y" * BRIEF],
                          f"argument suite: invalid choice: '{'y' * BRIEF}' (choose from"),
-                        # argparse itself would echo these three values whole
+                        # argparse itself would echo these values whole
                         (["verify", "--seed", long], "argument --seed: invalid int value: 'xxx"),
                         (["verify", long], "argument suite: invalid choice: 'xxx"),
-                        ([long], "argument command: invalid choice: 'xxx")):
+                        ([long], "argument command: invalid choice: 'xxx"),
+                        # two- and four-byte characters: the cut counts UTF-8 bytes
+                        (["verify", two_byte],
+                         f"argument suite: invalid choice: '{two_byte[:4]}"),
+                        (["verify", four_byte],
+                         f"argument suite: invalid choice: '{four_byte[:4]}"),
+                        # a byte of an argv that is not UTF-8, echoed unquoted: counted as
+                        # the escape stderr prints for it
+                        (["tr", alpha, "b", lone], "unrecognized arguments: b \\udcff")):
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
         errors = [line for line in captured.err.splitlines() if "error:" in line]
         assert captured.out == "" and len(errors) == 1 and f"error: {error}" in errors[0]
-        # only a message past 4 BRIEF characters is cut, and the CI entry-point step
+        # only a message past 4 BRIEF UTF-8 bytes is cut, and the CI entry-point step
         # holds its line to 300 bytes, newline included
-        assert errors[0].endswith("...") == (long in argv), errors[0][-40:]
-        assert len(errors[0].encode()) < 300, (argv[-1][:16], len(errors[0]))
+        assert errors[0].endswith("...") == (argv[-1] in longs), errors[0][-40:]
+        assert len(errors[0].encode()) < 300, (argv[-1][:16], len(errors[0].encode()))
 
 
 def test_cochain_commands_name_their_arguments_in_order(capsys):
@@ -554,6 +583,18 @@ def test_verify_lemma_suite(capsys):
     doc = json.loads(out)
     assert doc["suite"] == "boundary-h1" and doc["failures"] == []
     assert doc["trials"] == 4 and doc["params"] == {"max_degree": 1}
+
+
+def test_verify_lists_its_suites_in_order(capsys):
+    # "cartan" first, then every IDENTITIES row in table order; argparse's quoting of the
+    # choices differs across Python versions, so only the names are compared
+    assert cli.main(["verify", "z"]) == 2
+    captured = capsys.readouterr()
+    line, = [line for line in captured.err.splitlines() if "error:" in line]
+    choices = line.partition("(choose from ")[2].rstrip(")")
+    assert [name.strip("' ") for name in choices.split(",")] == [
+        "cartan", "boundary-h1", "boundary-h2", "equiv-h1", "equiv-h2", "aw-ez-identity",
+        "shih-homotopy", "tr-chain-map"]
 
 
 def test_verify_refuses_degrees_above_the_suite_cap(capsys):
