@@ -59,7 +59,7 @@ MAX_TRIALS = 10_000
 MAX_SWEEP_COST = 2_500_000
 # largest number of values tr (rows x row length) or surj-compose (index tuples
 # x output length) may read, counted as if tr pruned no reading; at the cap tr took
-# under 1 s on every table tried, surj-compose about 1 s
+# under 0.5 s on every table tried, surj-compose about 1 s
 MAX_VALUES_READ = 2_000_000
 
 

@@ -37,8 +37,8 @@ take 35.6 MB.
 from __future__ import annotations
 
 from itertools import (accumulate, chain, combinations, combinations_with_replacement,
-                       filterfalse, starmap)
-from operator import eq, itemgetter
+                       compress, filterfalse, starmap)
+from operator import eq, itemgetter, ne
 
 from .f2 import F2Sum
 
@@ -52,9 +52,21 @@ def is_degenerate(x: tuple) -> bool:
 
 
 def boundary(c: F2Sum) -> F2Sum:
-    """Sum of codimension-one faces, degenerate faces dropped."""
-    return F2Sum(filterfalse(is_degenerate, [x[:i] + x[i + 1:] for x in c if len(x) > 1
-                                             for i in range(len(x))]))
+    """Sum of codimension-one faces, degenerate faces dropped.
+
+    A face of a nondegenerate x is degenerate only where deleting label i
+    makes x[i - 1] and x[i + 1] neighbours, so only those are tested.  A
+    degenerate term has zero normalized boundary: where x[j] == x[j + 1],
+    deleting label j or j + 1 gives the same face, so the two cancel, and
+    every other face keeps that repeat and is degenerate.
+    """
+    faces = []
+    for x in c:
+        if len(x) < 2 or is_degenerate(x):
+            continue
+        faces += [x[:i] + x[i + 1:] for i in compress(range(1, len(x) - 1), map(ne, x, x[2:]))]
+        faces += [x[1:], x[:-1]]
+    return F2Sum(faces)
 
 
 def product(x: tuple, y: tuple) -> tuple:

@@ -14,8 +14,8 @@ times in row i, the first value of sigma_i not yet used -- where the
 last value produced by each non-final row stays available to later rows.
 The image is the sum of the sequences with no two equal neighbours.
 `_read_table` lists only those: it chooses the row lengths one row at a
-time and abandons a partial reading at its first pair of equal
-neighbours, instead of reading every composition and filtering.
+time and never starts a row whose first value repeats the last value of
+the row before, instead of reading every composition and filtering.
 """
 
 from __future__ import annotations
@@ -95,11 +95,16 @@ def _read_table(e: tuple):
     k-th, the row's last value, free for later rows.  A row's values are
     distinct, so equal neighbours can only meet across rows: when a
     row's first free value equals the last value of the row before, it
-    does so for every length of that row, so the whole branch is
-    dropped.  Every complete reading is onto: n + r values are read and
-    the n non-final rows release one each, so all r values end in use.
-    The search keeps its own stack, so a table of many rows does not
-    recurse.
+    does so for every length of that row.  So before row i's k-th
+    choice is pushed, the first free value of row i + 1 under it is
+    found, and the choice is dropped when the two are equal; no reading
+    with equal neighbours is ever pushed.  That first free value only
+    moves right as values go into use, so one pass over row i + 1 finds
+    it for every k.  Every complete reading is onto: n + r values are
+    read and the n non-final rows release one each, so all r values end
+    in use; while a row is read at most r - 1 are, so row i + 1 always
+    has a free value.  The search keeps its own stack, so a table of
+    many rows does not recurse.
     """
     n = len(e) - 1
     word: list[int] = []
@@ -111,14 +116,17 @@ def _read_table(e: tuple):
         del word[start:]
         word += prev[:k]
         free = [v for v in e[i] if not used >> v & 1]
-        if word and free[0] == word[-1]:
-            continue
         if i == n:
             yield tuple(word + free)
             continue
         start = len(word)
+        below = iter(e[i + 1])
+        first = next(below)
         for k, v in enumerate(free, 1):
-            stack.append((i + 1, used, start, free, k))
+            while used >> first & 1:
+                first = next(below)
+            if first != v:
+                stack.append((i + 1, used, start, free, k))
             used |= 1 << v
 
 

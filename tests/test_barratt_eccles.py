@@ -1,6 +1,7 @@
 """Permutation calculus and the arity-4 homotopies built from the two embeddings."""
 
-from itertools import chain
+from functools import partial
+from itertools import chain, filterfalse, starmap
 from itertools import product as product_of
 
 import pytest
@@ -12,7 +13,7 @@ from cartan.barratt_eccles import (ID2, MID_SWAP4, SWAP2, be_compose,
                                    nerve_map, outer_embed, product_of_squares,
                                    sigma_act, squared_product)
 from cartan.f2 import F2Sum, hom_boundary, singleton
-from cartan.simplicial import aw, boundary, product
+from cartan.simplicial import aw, boundary, ez, is_degenerate, product, shih
 from cartan.verify import arity_basis
 
 from oracles import be_compose_reference, wreath_reference
@@ -129,6 +130,28 @@ def test_be_compose_matches_the_degeneracy_reference():
                     nonzero += bool(out)
     # every one of the 432 composites is nonzero, so none of them agrees vacuously
     assert nonzero == 432
+
+
+def test_block_composed_simplices_stay_nondegenerate():
+    # block_compose is injective and shih and ez return nondegenerate simplices, so
+    # no block-composed image is degenerate and dropping degenerate ones changes nothing
+    unit = cup_generator(0)
+
+    def composed(e, x, y):
+        outer = ez(F2Sum([(e, t) for t in ez(singleton((x, y)))]))
+        return [tuple([block_compose(s, a, b) for s, (a, b) in z]) for z in outer]
+
+    for d in range(9):
+        for e in arity_basis(2, d):
+            doubled = singleton(product(e, e))
+            diagonal = [tuple(starmap(partial(block_compose, ID2), z)) for z in shih(doubled)]
+            cases = [(diagonal_homotopy(singleton(e)), diagonal),
+                     (be_compose(e, singleton(unit), singleton(unit)), composed(e, unit, unit))]
+            cases += [(be_compose(unit, singleton(x), singleton(y)), composed(unit, x, y))
+                      for x, y in aw(doubled)]
+            for out, images in cases:
+                assert not any(map(is_degenerate, images)), e
+                assert out == F2Sum(filterfalse(is_degenerate, images)), e
 
 
 def test_squared_product_is_the_outer_nerve_map():

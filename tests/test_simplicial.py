@@ -1,5 +1,7 @@
 """Nerve-level simplicial operators and the interval-product equivalences."""
 
+from itertools import product as product_of
+
 import pytest
 
 from cartan.f2 import F2Sum, hom_boundary, singleton
@@ -36,6 +38,19 @@ def test_boundary_golden():
     assert boundary(singleton((0,))) == F2Sum()
     # the two surviving faces of s_0(0,1) coincide and cancel
     assert boundary(singleton((0, 0, 1))) == F2Sum()
+
+
+def test_boundary_equals_the_filtered_faces_on_every_short_tuple():
+    # every label tuple of length 1..6 over 3 labels, degenerate ones included,
+    # against every face listed and then filtered
+    total, want_total = F2Sum(), F2Sum()
+    for length in range(1, 7):
+        for x in product_of(range(3), repeat=length):
+            faces = [x[:i] + x[i + 1:] for i in range(length)] if length > 1 else []
+            want = F2Sum(f for f in faces if not is_degenerate(f))
+            assert boundary(singleton(x)) == want, x
+            total, want_total = total + singleton(x), want_total + want
+    assert boundary(total) == want_total
 
 
 def test_boundary_squares_to_zero():
