@@ -52,10 +52,21 @@ places, so a face with a narrower gap lists nothing, and then lists the
 m-faces that carry the face at the root's positions through
 `combinations`, or their `product` for several gaps.  So a seeded root
 costs in proportion to the support rather than to the simplex, and
-skips its own test.  The schedules with their seed plans, and the
-m-face lists that the other roots filter, are memoized for as long as
-the `_cut_plans` cache holds; a call whose roots are all seeded lists
-no m-faces.
+skips its own test.
+
+A kid of a seeded root is joined instead of filtered when its slot
+holds a sparse operand too and its positions, with the root's, cover
+every position 0..m; every leaf kid qualifies, since its plan has only
+those two tests.  The schedule compiles a join plan for each such kid
+(`_join_plan`), and `_joined_faces` indexes the kid's support by its
+vertices at the positions the two tests share, meets each face of the
+root's support with the kid faces that agree with it there, and puts
+each pair into m-face order.  So a joined kid's faces come from the two
+supports alone, and the root lists its m-faces through `_seeded_faces`
+only when it ends or some kid cannot be joined.  The schedules with
+their seed and join plans, and the m-face lists that the other roots
+filter, are memoized for as long as the `_cut_plans` cache holds; a
+call whose roots are all seeded lists no m-faces.
 
 The coboundary is bit-parallel.  `delta` numbers the (d+1)-faces of
 the n-simplex in the order it first meets them as cofaces f + {v} of
@@ -350,6 +361,13 @@ def _cut_plans(seq: tuple[int, ...], dims: tuple[int, ...], m: int):
     return tuple(plans)
 
 
+def _getter(positions: tuple):
+    """An `itemgetter` of the positions that returns a tuple, for one position or none too."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    return itemgetter(slice(positions[0], positions[0] + 1) if positions else slice(0))
+
+
 def _schedule(key: tuple) -> tuple:
     """The cut plans of (words, i, dims, slots, m) as a prefix tree of tests, shared first.
 
@@ -360,15 +378,18 @@ def _schedule(key: tuple) -> tuple:
     share sit nearest the root and filter the faces once for all of
     them.  A node is (slot, getter of the positions, whether a
     remaining set ends here, child nodes), and a subtree in which no
-    set ends is never built.  The schedule pairs each root with its
-    `_seed_plan`, for the calls whose root slot holds a sparse operand.
+    set ends is never built.  The schedule gives each root its
+    `_seed_plan`, for the calls whose root slot holds a sparse operand,
+    and the `_join_plan` of each of its kids, for the calls whose kid
+    slot holds one too.
     `words(i)` is only built here, so an action looks its schedule up
-    without hashing the words.  Nodes with the same positions share one
-    getter: without that memo, the library's memory under `tracemalloc`
-    after a `cartan-warm` set-up and one pass over its ops went from
-    2735 to 2798 KiB (+2.3%, seeds 1-3), while `ops_per_s` moved within
-    noise (-4.9% to +3.2% in 10 alternating 6 s `cartan-warm` pairs, on
-    a shared 2-core VM).
+    without hashing the words.  Nodes with the same positions, and join
+    plans with the same shared indices, share one getter; the memo dies
+    with the schedule.  Without that memo, the library's memory under
+    `tracemalloc` after a `cartan-warm` set-up and one pass over its ops
+    went from 2735 to 2798 KiB (+2.3%, seeds 1-3), while `ops_per_s`
+    moved within noise (-4.9% to +3.2% in 10 alternating 6 s
+    `cartan-warm` pairs, on a shared 2-core VM).
     """
     words, i, dims, slots, m = key
     odd = F2Sum(frozenset(zip(slots, plan)) for s in words(i) for plan in _cut_plans(s, dims, m))
@@ -380,15 +401,15 @@ def _schedule(key: tuple) -> tuple:
         for test in path:
             node = node.setdefault(test, [False, {}])[1]
         node.setdefault(last, [False, {}])[0] = True
-    # a slice for one position, so that every getter returns a tuple of vertices
-    getters = _Memo(lambda positions: itemgetter(*positions) if len(positions) > 1
-                    else itemgetter(slice(positions[0], positions[0] + 1)))
+    getters = _Memo(_getter)
 
     def freeze(node: dict) -> tuple:
         return tuple((slot, getters[positions], ends, freeze(kids))
                      for (slot, positions), (ends, kids) in node.items())
 
-    return tuple(zip(freeze(trie), [_seed_plan(positions, m) for _, positions in trie]))
+    return tuple((root, _seed_plan(positions, m),
+                  tuple(_join_plan(positions, kid, m, getters) for _, kid in kids))
+                 for root, ((_, positions), (_, kids)) in zip(freeze(trie), trie.items()))
 
 
 # (words, i, dims, slots, m) -> schedule of `_act_cochain`, built from `_cut_plans` on first use
@@ -437,6 +458,50 @@ def _seed_plan(positions: tuple, m: int) -> tuple:
     return gaps, itemgetter(*sorted(range(m + 1), key=layout.__getitem__))
 
 
+def _join_plan(positions: tuple, kid: tuple, m: int, getters: _Memo):
+    """How a root at `positions` and its kid at `kid` list their m-faces from two supports.
+
+    None unless the two cover every position 0..m, since only then does
+    a root face s and a kid face t that agree where they overlap give
+    one m-face.  Otherwise (shared, kid_shared, order, crossings): the
+    getters of the shared positions on s and on t, the getter that puts
+    s + t into m-face order, and each position p such that the m-face's
+    vertices at p and p + 1 come one from s and one from t alone, where
+    s and t do not already order them.
+    """
+    mine, theirs = set(positions), set(kid)
+    if len(mine | theirs) <= m:
+        return None
+    shared = sorted(mine & theirs)
+    crossings = tuple(p for p in range(m) if not ({p, p + 1} <= mine or {p, p + 1} <= theirs))
+    # the index in s + t of the vertex at each position, from s where both have one
+    order = tuple(map((positions + kid).index, range(m + 1)))
+    return (getters[tuple(map(positions.index, shared))], getters[tuple(map(kid.index, shared))],
+            _getter(order), crossings)
+
+
+def _joined_faces(join: tuple, support, kid_support) -> list:
+    """The m-faces that carry a face of `support` and one of `kid_support` where `_join_plan` says.
+
+    A hash join: the kid's support is indexed by its vertices at the
+    shared positions, each face s of the root's support meets the kid
+    faces t that agree with it there, and s + t is put into m-face
+    order.  The m-face is kept when it is strictly increasing, which
+    only the crossings can break.  Distinct pairs give distinct m-faces.
+    """
+    shared, kid_shared, order, crossings = join
+    index: dict = {}
+    for t in kid_support:
+        index.setdefault(kid_shared(t), []).append(t)
+    faces = []
+    for s in support:
+        if ts := index.get(shared(s)):
+            faces += map(order, map(s.__add__, ts))
+    if crossings:
+        return [f for f in faces if all(f[p] < f[p + 1] for p in crossings)]
+    return faces
+
+
 # (s, g_1, g_2, ...) -> s + g_1 + g_2 + ...
 _flat = partial(sum, start=())
 
@@ -450,9 +515,14 @@ def _seeded_faces(plan: tuple, support, n: int):
     their choices through C-level iterators, one gap by `combinations`
     alone and several by their `product`.  A root with no gap returns
     the support itself.  Distinct faces of the support give distinct
-    m-faces.  The one-gap branch pays for itself: sending one-gap roots
-    through `product` took `squares-sparse` from 15,950 to 7,970 ops/s
-    (medians of 4 alternating 5 s pairs, seed 2, on a shared 2-core VM).
+    m-faces.  The one-gap branch pays for itself on the inputs that
+    still reach it once kids are joined: cups of a sparse cocycle and a
+    dense coboundary in either order, and the witness and defect words on
+    sparse cocycles, 372 calls at n = 10..12, 48 of them with one gap
+    (2637 faces).  Through `product` those 48 took 3.6 against 1.2 ms, and
+    the 372 calls 22.0 against 19.8 ms in the median (best of 15
+    in-process passes, 5 of 5 alternating runs, Python 3.11 on a shared
+    2-core VM).  On `squares-sparse` no call with a gap is left.
     """
     gaps, order = plan
     if not gaps:
@@ -561,7 +631,14 @@ def _seeds(c: Cochain):
     of the faces of its dimension.  A root pays about four times as much
     for each face it lists as a scan pays for each face it tests, so
     seeding wins below about one in four; on dense coboundaries it
-    would cost twice the scan.
+    would cost twice the scan.  The same rule gates the join, which needs
+    its root and its kid both sparse: its index and its probes are loops
+    over the two supports, where a scan filters in C.  Seeding and
+    joining every operand made the 175 cups of dense coboundaries at
+    n = 12 (dimensions 1..5, every i) take 107-109 against 78-79 ms, 1.4
+    times the scan (best of 7 in-process passes, 3 of 3 alternating
+    runs, Python 3.11 on a shared 2-core VM); on the smaller ones at
+    n = 8, 10, 12 (dimensions 1..3) it read within noise.
     """
     return c.support if len(c.support) * 8 < comb(c.ambient + 1, c.dim + 1) else None
 
@@ -612,14 +689,16 @@ def _act_cochain(words, i: int, operands: tuple, dim: int, plus=()) -> Cochain:
     `_schedule`, keyed by the function `words` itself, which must give
     the same words for the same i.  The roots of the schedule run in one
     loop.  A root whose slot holds a sparse operand (`_seeds`) starts
-    from the dim-faces that `_seeded_faces` lists from its support by
-    the seed plan compiled with the root, and these pass its test by
-    construction; any other root filters the dim-faces of the simplex,
-    listed once per (n, dim) in `_FACES`, and only when some root needs
-    them.  Both memos live as long as the
-    `_cut_plans` cache, which `_operands` checks.  Each node of the
-    schedule filters, in one pass of `compress`, the faces that passed
-    its parent, and a subtree stops at its first empty list.  A face
+    from its support: each kid with a join plan whose slot is sparse too
+    takes the dim-faces that `_joined_faces` finds in the two supports,
+    which pass both tests by construction, and the other kids, and the
+    root itself if it ends, take the dim-faces that `_seeded_faces` lists
+    by the root's seed plan, which pass the root's test.  Any other root
+    filters the dim-faces of the simplex, listed once per (n, dim) in
+    `_FACES`, and only when some root needs them.  Both memos live as
+    long as the `_cut_plans` cache, which `_operands` checks.  Each node
+    of the schedule filters, in one pass of `compress`, the faces that
+    passed its parent, and a subtree stops at its first empty list.  A face
     passes a plan at most once, so the result is the symmetric
     difference of what the plans keep.  `plus` pays for itself: writing
     `cartan_defect` as delta(witness) + action, with no `plus`, read
@@ -629,14 +708,25 @@ def _act_cochain(words, i: int, operands: tuple, dim: int, plus=()) -> Cochain:
     n, dims, slots, contains, seeds = operands
     out = set(plus)
     if contains is not None and 0 <= dim <= n:
-        for root, plan in _SCHEDULES[words, i, dims, slots, dim]:
+        for root, plan, joins in _SCHEDULES[words, i, dims, slots, dim]:
             slot, _, ends, kids = root
-            if seeds[slot] is None:
+            support = seeds[slot]
+            if support is None:
                 _walk((root,), _FACES[n, dim], contains, out)
-            elif faces := _seeded_faces(plan, seeds[slot], n):
+                continue
+            listed = []
+            for kid, join in zip(kids, joins):
+                kid_slot, _, kid_ends, grandkids = kid
+                if join is None or seeds[kid_slot] is None:
+                    listed.append(kid)
+                elif faces := _joined_faces(join, support, seeds[kid_slot]):
+                    if kid_ends:
+                        out.symmetric_difference_update(faces)
+                    _walk(grandkids, faces, contains, out)
+            if (ends or listed) and (faces := _seeded_faces(plan, support, n)):
                 if ends:
                     out.symmetric_difference_update(faces)
-                _walk(kids, faces, contains, out)
+                _walk(listed, faces, contains, out)
     return Cochain._built(n, dim, frozenset(out))
 
 

@@ -8,12 +8,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cartan.cochains
-from cartan.cochains import (Cochain, _act_cochain, _clear_memos, _cut_plans,
-                             _defect_surjections, _operands, _schedule, _seed_plan,
-                             _seeded_faces, cartan_coboundary, cartan_defect, cup,
-                             cup_surjections, delta, ones, square_surjections,
-                             squared_product_surjections, steenrod_square,
-                             witness_surjections)
+from cartan.cochains import (Cochain, _Memo, _act_cochain, _clear_memos, _cut_plans,
+                             _defect_surjections, _getter, _join_plan, _joined_faces,
+                             _operands, _schedule, _seed_plan, _seeded_faces,
+                             cartan_coboundary, cartan_defect, cup, cup_surjections, delta,
+                             ones, square_surjections, squared_product_surjections,
+                             steenrod_square, witness_surjections)
 from cartan.simplicial import faces_of_dim
 
 from oracles import (act_reference, act_word, brute_cut_plans, cup_i_reference,
@@ -348,10 +348,13 @@ def test_seeded_roots_match_the_scan(monkeypatch):
     # and arity-4 words, dimension-0 supports, support faces on vertex 0 and on vertex n
     # (an empty first or last gap), the inner gap of a in the word 1 2 1, a sparse operand
     # next to a dense one, and one object in several slots next to equal copies of it;
-    # each seeded root must list, once each, exactly the m-faces its test keeps
+    # each seeded root must list, once each, exactly the m-faces its test keeps, and each
+    # joined kid exactly the m-faces that both its test and its root's keep
     roots = Counter()
     seed_plan, seeded_faces = cartan.cochains._seed_plan, cartan.cochains._seeded_faces
-    # (positions, m) of each seed plan built in this test, by the plan's id
+    join_plan, joined_faces = cartan.cochains._join_plan, cartan.cochains._joined_faces
+    # (positions, m) of each seed plan and (positions, kid, m) of each join plan built in
+    # this test, by the plan's id
     planned = {}
 
     def plan(positions, m):
@@ -367,9 +370,26 @@ def test_seeded_roots_match_the_scan(monkeypatch):
         roots["seeded"] += 1
         return faces
 
+    def join(positions, kid, m, getters):
+        made = join_plan(positions, kid, m, getters)
+        planned[id(made)] = positions, kid, m
+        return made
+
+    def joined(made, support, kid_support):
+        positions, kid, m = planned[id(made)]
+        faces = joined_faces(made, support, kid_support)
+        assert sorted(faces) == [f for f in faces_of_dim(n, m)
+                                 if tuple(f[p] for p in positions) in support
+                                 and tuple(f[q] for q in kid) in kid_support]
+        roots["joined"] += 1
+        roots["joined faces"] += len(faces)
+        return faces
+
     _clear_memos()
     monkeypatch.setattr(cartan.cochains, "_seed_plan", plan)
     monkeypatch.setattr(cartan.cochains, "_seeded_faces", listed)
+    monkeypatch.setattr(cartan.cochains, "_join_plan", join)
+    monkeypatch.setattr(cartan.cochains, "_joined_faces", joined)
     rng = random.Random(22)
     n = 9
 
@@ -387,7 +407,7 @@ def test_seeded_roots_match_the_scan(monkeypatch):
             calls += [(cup, (i, a, b)) for i in range(da + db + 1)]
             calls += [(steenrod_square, (k, a)) for k in range(da + 1)]
             calls.append((act_word, ((1,), (a,), da)))
-            if da + db <= 3:
+            if da + db <= 4:
                 for i in range(3):
                     calls.append((cartan_coboundary, (i, a, b)))
                     for words in (_defect_surjections, square_surjections):
@@ -402,19 +422,20 @@ def test_seeded_roots_match_the_scan(monkeypatch):
         return [f(*args) for f, args in calls]
 
     shipped = run()
-    seeded = roots["seeded"]
+    seeded, joined, kept = roots["seeded"], roots["joined"], roots["joined faces"]
     with monkeypatch.context() as m:
         m.setattr(cartan.cochains, "_seeds", lambda c: c.support)
         every = run()
     with monkeypatch.context() as m:
         m.setattr(cartan.cochains, "_seeds", lambda c: None)
-        before = roots["seeded"]
+        before = roots.copy()
         scanned = run()
-        assert roots["seeded"] == before
+        assert roots == before
     for call, x, y, z in zip(calls, shipped, every, scanned):
         assert x == y == z, call
     nonzero = sum(not c.is_zero for c in shipped)
-    assert seeded > 350 and nonzero > 200, (seeded, nonzero)
+    assert seeded > 350 and joined > 150 and kept > 80 and nonzero > 200, (
+        seeded, joined, kept, nonzero)
 
 
 @st.composite
@@ -470,6 +491,73 @@ def test_seeded_faces_match_a_brute_force_filter():
     floors = {(0, "gaps"): 200, (1, "gaps"): 300, (2, "gaps"): 150, (3, "gaps"): 20,
               "first gap": 300, "last gap": 250, "narrow faces": 1500, "all narrow": 150,
               "nonempty": 500, "several gaps, nonempty": 80}
+    assert all(seen[key] >= floor for key, floor in floors.items()), seen
+
+
+@st.composite
+def join_cases(draw):
+    """(positions, kid, m, n, support, kid support) of a root and a kid that cover 0..m.
+
+    Half the time they are the two blocks of cup_0, which share one
+    vertex.  Otherwise the kid holds every position the root leaves and
+    any of the root's.  Each support holds up to 6 random faces and the
+    two projections of up to 6 random m-faces, some of them on vertex 0
+    or on vertex n, so that many pairs of faces agree where they overlap.
+    """
+    n = draw(st.integers(0, 12))
+    m = draw(st.integers(0, n))
+    if draw(st.booleans()):
+        cut = draw(st.integers(0, m))
+        positions, kid = tuple(range(cut + 1)), tuple(range(cut, m + 1))
+    else:
+        positions = tuple(sorted(draw(st.sets(st.integers(0, m), min_size=1))))
+        extra = draw(st.sets(st.sampled_from(positions), min_size=len(positions) == m + 1))
+        kid = tuple(sorted(set(range(m + 1)).difference(positions) | extra))
+    rng = draw(st.randoms(use_true_random=False))
+    tops = faces_of_dim(n, m)
+    ends = [f for f in tops if f[0] == 0 or f[-1] == n]
+    picked = [rng.choice(ends) for _ in range(draw(st.integers(0, 3)))]
+    picked += rng.sample(tops, min(len(tops), draw(st.integers(0, 3))))
+
+    def support(at):
+        faces = faces_of_dim(n, len(at) - 1)
+        noise = rng.sample(faces, min(len(faces), draw(st.integers(0, 6))))
+        return frozenset(noise + [tuple(f[p] for p in at) for f in picked])
+
+    return positions, kid, m, n, support(positions), support(kid)
+
+
+def test_joined_faces_match_a_brute_force_filter():
+    # the hash join against a filter of every m-face: each m-face whose vertices at the
+    # root's positions form a face of its support and whose vertices at the kid's form one
+    # of the kid's is listed exactly once, and nothing else is; the cases include cup_0's
+    # one shared vertex, kids that share no position, and pairs whose interleaving breaks
+    # the strict order (crossings)
+    seen = Counter()
+
+    @settings(deadline=None, max_examples=800)
+    @given(join_cases())
+    def check(case):
+        positions, kid, m, n, support, kid_support = case
+        join = _join_plan(positions, kid, m, _Memo(_getter))
+        faces = _joined_faces(join, support, kid_support)
+        kept = [f for f in faces_of_dim(n, m) if tuple(f[p] for p in positions) in support
+                and tuple(f[q] for q in kid) in kid_support]
+        assert sorted(faces) == kept, case
+        shared = set(positions) & set(kid)
+        seen["cup_0"] += len(shared) == 1 and positions[-1] == kid[0]
+        seen["no shared vertex"] += not shared
+        seen["crossings"] += bool(join[3])
+        seen["crossings, nonempty"] += bool(join[3]) and bool(faces)
+        seen["vertex 0"] += any(f[0] == 0 for f in faces)
+        seen["vertex n"] += any(f[-1] == n for f in faces)
+        seen["nonempty"] += bool(faces)
+
+    check()
+    # a root and a kid that leave a position uncovered have no join
+    assert _join_plan((0, 2), (0, 1), 3, _Memo(_getter)) is None
+    floors = {"cup_0": 250, "no shared vertex": 30, "crossings": 50, "crossings, nonempty": 25,
+              "vertex 0": 250, "vertex n": 200, "nonempty": 300}
     assert all(seen[key] >= floor for key, floor in floors.items()), seen
 
 
@@ -632,7 +720,7 @@ def test_schedules_end_once_per_odd_set_and_share_first():
         words, i, dims, slots, m = key
         odd = odd_terms(frozenset(zip(slots, plan))
                         for s in words(i) for plan in _cut_plans(s, dims, m))
-        tree, top = tuple(root for root, _ in _schedule(key)), tuple(range(m + 1))
+        tree, top = tuple(root for root, *_ in _schedule(key)), tuple(range(m + 1))
         tests = list(tree_tests(tree, top))
         for slot, positions in tests:
             assert type(positions) is tuple and len(positions) == dims[slot] + 1, (key, slot)
