@@ -41,8 +41,8 @@ plans keep it.
 
 A root of a schedule, a test that no other test precedes, filters
 every m-face of the simplex unless its slot holds a sparse operand:
-one whose support S holds fewer than one in eight of the faces of its
-dimension d, |S| * 8 < C(n+1, d+1), a fixed rule decided once per
+one whose support S holds fewer than one in four of the faces of its
+dimension d, |S| * 4 < C(n+1, d+1), a fixed rule decided once per
 operand per call.  Such a root starts from its support instead, by a
 seed plan compiled with the schedule (`_seed_plan`): the gaps that its
 positions leave places in, and one getter that puts a face of S and the
@@ -58,15 +58,19 @@ A kid of a seeded root is joined instead of filtered when its slot
 holds a sparse operand too and its positions, with the root's, cover
 every position 0..m; every leaf kid qualifies, since its plan has only
 those two tests.  The schedule compiles a join plan for each such kid
-(`_join_plan`), and `_joined_faces` indexes the kid's support by its
-vertices at the positions the two tests share, meets each face of the
-root's support with the kid faces that agree with it there, and puts
-each pair into m-face order.  So a joined kid's faces come from the two
-supports alone, and the root lists its m-faces through `_seeded_faces`
-only when it ends or some kid cannot be joined.  The schedules with
-their seed and join plans, and the m-face lists that the other roots
-filter, are memoized for as long as the `_cut_plans` cache holds; a
-call whose roots are all seeded lists no m-faces.
+(`_join_plan`), and `_joined_faces` meets each face of the root's
+support with the kid faces that agree with it at the positions the two
+tests share, and puts each pair into m-face order.  A call builds once
+per getter and slot the list of the slot's support faces' vertices at
+the getter's positions, and a kid's index (`_index`) groups its support
+by that list, so a root and a kid with the same getter and slot share
+it; every join of the call reads them, and a join whose root vertices
+miss the index entirely returns before it probes.  So a joined kid's faces come
+from the two supports alone, and the root lists its m-faces through
+`_seeded_faces` only when it ends or some kid cannot be joined.  The
+schedules with their seed and join plans, and the m-face lists that
+the other roots filter, are memoized for as long as the `_cut_plans`
+cache holds; a call whose roots are all seeded lists no m-faces.
 
 The coboundary is bit-parallel.  `delta` numbers the (d+1)-faces of
 the n-simplex in the order it first meets them as cofaces f + {v} of
@@ -480,22 +484,32 @@ def _join_plan(positions: tuple, kid: tuple, m: int, getters: _Memo):
             _getter(order), crossings)
 
 
-def _joined_faces(join: tuple, support, kid_support) -> list:
-    """The m-faces that carry a face of `support` and one of `kid_support` where `_join_plan` says.
-
-    A hash join: the kid's support is indexed by its vertices at the
-    shared positions, each face s of the root's support meets the kid
-    faces t that agree with it there, and s + t is put into m-face
-    order.  The m-face is kept when it is strictly increasing, which
-    only the crossings can break.  Distinct pairs give distinct m-faces.
-    """
-    shared, kid_shared, order, crossings = join
+def _index(keys: list, support) -> dict:
+    """The faces of `support` grouped by `keys`, which holds each face's key in support order."""
     index: dict = {}
-    for t in kid_support:
-        index.setdefault(kid_shared(t), []).append(t)
+    for key, t in zip(keys, support):
+        index.setdefault(key, []).append(t)
+    return index
+
+
+def _joined_faces(join: tuple, support, keys: list, index: dict) -> list:
+    """The m-faces that carry a face of `support` and a face in `index` where `_join_plan` says.
+
+    A hash join: `keys` holds the vertices of each face s of the root's
+    support at the shared positions, in the support's order, and `index`
+    the kid's support by its vertices there (`_index`); both are built
+    once per call and shared by its joins.  A join whose keys miss the
+    index entirely returns before it probes.  Otherwise each s meets the
+    kid faces t that agree with it, and s + t is put into m-face order.
+    The m-face is kept when it is strictly increasing, which only the
+    crossings can break.  Distinct pairs give distinct m-faces.
+    """
+    _, _, order, crossings = join
+    if index.keys().isdisjoint(keys):
+        return []
     faces = []
-    for s in support:
-        if ts := index.get(shared(s)):
+    for s, key in zip(support, keys):
+        if ts := index.get(key):
             faces += map(order, map(s.__add__, ts))
     if crossings:
         return [f for f in faces if all(f[p] < f[p + 1] for p in crossings)]
@@ -517,12 +531,17 @@ def _seeded_faces(plan: tuple, support, n: int):
     the support itself.  Distinct faces of the support give distinct
     m-faces.  The one-gap branch pays for itself on the inputs that
     still reach it once kids are joined: cups of a sparse cocycle and a
-    dense coboundary in either order, and the witness and defect words on
-    sparse cocycles, 372 calls at n = 10..12, 48 of them with one gap
-    (2637 faces).  Through `product` those 48 took 3.6 against 1.2 ms, and
-    the 372 calls 22.0 against 19.8 ms in the median (best of 15
-    in-process passes, 5 of 5 alternating runs, Python 3.11 on a shared
-    2-core VM).  On `squares-sparse` no call with a gap is left.
+    dense coboundary in either order (dimensions 1..3, every i), and the
+    witness and defect of two sparse cocycles (dimensions 1 and 2), 162
+    calls at n = 10..12 that list through 69 seeded roots, 63 of them
+    with one gap (3046 faces).  Through `product` those 63 took 4.0-5.9
+    against 1.2-1.8 ms, and the 162 calls 16.7-25.1 against 13.5-20.8 ms
+    (best of 15 in-process passes, 6 of 6 alternating runs, Python 3.11
+    on a shared 2-core VM).  On `squares-sparse` no call with a gap is
+    left under the one-in-four rule of `_seeds` either: every seeded root
+    that lists is a Sq^0 root with no gap (54 per round, seed 1).  A
+    `cartan-warm` round (seed 1) has two one-gap calls, from its one
+    operand below one in four.
     """
     gaps, order = plan
     if not gaps:
@@ -627,20 +646,32 @@ def _clear_memos() -> None:
 def _seeds(c: Cochain):
     """The support of a sparse operand, which its roots start from; None for any other.
 
-    An operand is sparse when its support holds fewer than one in eight
+    An operand is sparse when its support holds fewer than one in four
     of the faces of its dimension.  A root pays about four times as much
     for each face it lists as a scan pays for each face it tests, so
-    seeding wins below about one in four; on dense coboundaries it
-    would cost twice the scan.  The same rule gates the join, which needs
-    its root and its kid both sparse: its index and its probes are loops
-    over the two supports, where a scan filters in C.  Seeding and
-    joining every operand made the 175 cups of dense coboundaries at
-    n = 12 (dimensions 1..5, every i) take 107-109 against 78-79 ms, 1.4
-    times the scan (best of 7 in-process passes, 3 of 3 alternating
-    runs, Python 3.11 on a shared 2-core VM); on the smaller ones at
-    n = 8, 10, 12 (dimensions 1..3) it read within noise.
+    seeding wins below about one in four, and a joined kid lists no
+    m-face at all.  The same rule gates the join, which needs its root
+    and its kid both sparse: its index and its probes are loops over the
+    two supports, where a scan filters in C.  Past one in four the loops
+    lose (best of 7 to 40 in-process passes, alternating runs, Python
+    3.11 on a shared 2-core VM):
+    - on `squares-sparse` (seed 1), 216 of 252 ops have a sparse
+      operand under one in four and 186 under one in eight, and the
+      round took 9.8 against 11.3 ms (-13% to -14% in 5 of 6 runs, -9%
+      in the sixth);
+    - seeding below one in two took 9.2 ms there (-2% to -7% against
+      one in four), but made a `cartan-warm` round 2.0 times as slow
+      (21.4 against 10.5 ms; 1.97 to 2.63 times in 6 runs), where one of
+      366 operands lies below one in four;
+    - the 175 cups of dense coboundaries at n = 12 (dimensions 1..5,
+      every i) read within noise under either rule (78-93 ms in 7
+      runs): one of their 50 operands lies between one in eight and one
+      in four, and its 5 cups took 0.51-0.55 ms under either.  Seeding
+      and joining every operand made the 175 take 103-116 ms, 1.2 to
+      1.4 times the scan; on the smaller ones at n = 8, 10, 12
+      (dimensions 1..3) it read within noise.
     """
-    return c.support if len(c.support) * 8 < comb(c.ambient + 1, c.dim + 1) else None
+    return c.support if len(c.support) * 4 < comb(c.ambient + 1, c.dim + 1) else None
 
 
 def _operands(cochains) -> tuple:
@@ -693,7 +724,11 @@ def _act_cochain(words, i: int, operands: tuple, dim: int, plus=()) -> Cochain:
     takes the dim-faces that `_joined_faces` finds in the two supports,
     which pass both tests by construction, and the other kids, and the
     root itself if it ends, take the dim-faces that `_seeded_faces` lists
-    by the root's seed plan, which pass the root's test.  Any other root
+    by the root's seed plan, which pass the root's test.  The joins share
+    what they read: the key list of a slot's support is built once per
+    (getter, slot) in the call, and so is a kid's index, which groups
+    the key list of its own pair, one a root may have built already.
+    Any other root
     filters the dim-faces of the simplex, listed once per (n, dim) in
     `_FACES`, and only when some root needs them.  Both memos live as
     long as the `_cut_plans` cache, which `_operands` checks.  Each node
@@ -708,6 +743,7 @@ def _act_cochain(words, i: int, operands: tuple, dim: int, plus=()) -> Cochain:
     n, dims, slots, contains, seeds = operands
     out = set(plus)
     if contains is not None and 0 <= dim <= n:
+        keys = None
         for root, plan, joins in _SCHEDULES[words, i, dims, slots, dim]:
             slot, _, ends, kids = root
             support = seeds[slot]
@@ -715,11 +751,19 @@ def _act_cochain(words, i: int, operands: tuple, dim: int, plus=()) -> Cochain:
                 _walk((root,), _FACES[n, dim], contains, out)
                 continue
             listed = []
+            if keys is None:
+                # (getter, slot) -> the getter on each face of the slot's support, and their
+                # `_index`; by slot, since equal supports in two slots may iterate in two
+                # orders.  Made at the first seeded root, since making them in every call
+                # cost a `cartan-warm` round about 3% (6 of 6 in-process runs)
+                keys = _Memo(lambda key: list(map(key[0], seeds[key[1]])))
+                indexes = _Memo(lambda key: _index(keys[key], seeds[key[1]]))
             for kid, join in zip(kids, joins):
                 kid_slot, _, kid_ends, grandkids = kid
                 if join is None or seeds[kid_slot] is None:
                     listed.append(kid)
-                elif faces := _joined_faces(join, support, seeds[kid_slot]):
+                elif faces := _joined_faces(join, support, keys[join[0], slot],
+                                            indexes[join[1], kid_slot]):
                     if kid_ends:
                         out.symmetric_difference_update(faces)
                     _walk(grandkids, faces, contains, out)

@@ -2,15 +2,15 @@
 
 import random
 from collections import Counter
-from itertools import product
+from itertools import chain, product
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cartan.cochains
 from cartan.cochains import (Cochain, _Memo, _act_cochain, _clear_memos, _cut_plans,
-                             _defect_surjections, _getter, _join_plan, _joined_faces,
-                             _operands, _schedule, _seed_plan, _seeded_faces,
+                             _defect_surjections, _getter, _index, _join_plan, _joined_faces,
+                             _operands, _schedule, _seed_plan, _seeded_faces, _seeds,
                              cartan_coboundary, cartan_defect, cup, cup_surjections, delta,
                              ones, square_surjections, squared_product_surjections,
                              steenrod_square, witness_surjections)
@@ -343,18 +343,21 @@ def act(words, i: int, xs: tuple, dim: int) -> Cochain:
     return _act_cochain(words, i, _operands(xs), dim)
 
 
-def test_seeded_roots_match_the_scan(monkeypatch):
-    # each action as shipped, with every operand seeded and with none: arity-1, arity-2
-    # and arity-4 words, dimension-0 supports, support faces on vertex 0 and on vertex n
-    # (an empty first or last gap), the inner gap of a in the word 1 2 1, a sparse operand
-    # next to a dense one, and one object in several slots next to equal copies of it;
-    # each seeded root must list, once each, exactly the m-faces its test keeps, and each
-    # joined kid exactly the m-faces that both its test and its root's keep
+def check_listings(monkeypatch) -> Counter:
+    """Check each seeded root and each joined kid against a filter of every m-face.
+
+    Wraps `_seed_plan`, `_seeded_faces`, `_join_plan` and `_joined_faces`
+    so that each seeded root must list, once each, exactly the m-faces its
+    test keeps, and each joined kid exactly the m-faces that both its test
+    and its root's keep.  The memos are emptied first, so every schedule is
+    built through the wrappers.  The counter returned counts the seeded
+    roots, the joined kids and the faces they keep.
+    """
     roots = Counter()
     seed_plan, seeded_faces = cartan.cochains._seed_plan, cartan.cochains._seeded_faces
     join_plan, joined_faces = cartan.cochains._join_plan, cartan.cochains._joined_faces
-    # (positions, m) of each seed plan and (positions, kid, m) of each join plan built in
-    # this test, by the plan's id
+    # (positions, m) of each seed plan and (positions, kid, m) of each join plan built
+    # through the wrappers, by the plan's id
     planned = {}
 
     def plan(positions, m):
@@ -375,10 +378,14 @@ def test_seeded_roots_match_the_scan(monkeypatch):
         planned[id(made)] = positions, kid, m
         return made
 
-    def joined(made, support, kid_support):
+    def joined(made, support, keys, index):
         positions, kid, m = planned[id(made)]
-        faces = joined_faces(made, support, kid_support)
-        assert sorted(faces) == [f for f in faces_of_dim(n, m)
+        assert keys == list(map(made[0], support))
+        kid_support = set(chain.from_iterable(index.values()))
+        faces = joined_faces(made, support, keys, index)
+        # every vertex of a joined m-face is a vertex of one of the two supports
+        top = max(chain.from_iterable(chain(support, kid_support)))
+        assert sorted(faces) == [f for f in faces_of_dim(top, m)
                                  if tuple(f[p] for p in positions) in support
                                  and tuple(f[q] for q in kid) in kid_support]
         roots["joined"] += 1
@@ -390,6 +397,41 @@ def test_seeded_roots_match_the_scan(monkeypatch):
     monkeypatch.setattr(cartan.cochains, "_seeded_faces", listed)
     monkeypatch.setattr(cartan.cochains, "_join_plan", join)
     monkeypatch.setattr(cartan.cochains, "_joined_faces", joined)
+    return roots
+
+
+def match_the_scan(monkeypatch, calls: list, roots: Counter) -> tuple:
+    """Each call as shipped, with every operand seeded and with none, which must agree.
+
+    Returns the shipped results and the counts of `check_listings` in the
+    shipped run; the run with none seeds no root and joins no kid.
+    """
+    def run():
+        return [f(*args) for f, args in calls]
+
+    shipped = run()
+    counts = roots.copy()
+    with monkeypatch.context() as m:
+        m.setattr(cartan.cochains, "_seeds", lambda c: c.support)
+        every = run()
+    with monkeypatch.context() as m:
+        m.setattr(cartan.cochains, "_seeds", lambda c: None)
+        before = roots.copy()
+        scanned = run()
+        assert roots == before
+    for call, x, y, z in zip(calls, shipped, every, scanned):
+        assert x == y == z, call
+    return shipped, counts
+
+
+def test_seeded_roots_match_the_scan(monkeypatch):
+    # each action as shipped, with every operand seeded and with none: arity-1, arity-2
+    # and arity-4 words, dimension-0 supports, support faces on vertex 0 and on vertex n
+    # (an empty first or last gap), the inner gap of a in the word 1 2 1, a sparse operand
+    # next to a dense one, and one object in several slots next to equal copies of it;
+    # each seeded root must list, once each, exactly the m-faces its test keeps, and each
+    # joined kid exactly the m-faces that both its test and its root's keep
+    roots = check_listings(monkeypatch)
     rng = random.Random(22)
     n = 9
 
@@ -418,23 +460,46 @@ def test_seeded_roots_match_the_scan(monkeypatch):
         a = delta(Cochain(n, d - 1, rng.sample(faces_of_dim(n, d - 1), 3)))
         calls += [(cartan_defect, (i, a, a)) for i in range(2 * d)]
 
-    def run():
-        return [f(*args) for f, args in calls]
-
-    shipped = run()
-    seeded, joined, kept = roots["seeded"], roots["joined"], roots["joined faces"]
-    with monkeypatch.context() as m:
-        m.setattr(cartan.cochains, "_seeds", lambda c: c.support)
-        every = run()
-    with monkeypatch.context() as m:
-        m.setattr(cartan.cochains, "_seeds", lambda c: None)
-        before = roots.copy()
-        scanned = run()
-        assert roots == before
-    for call, x, y, z in zip(calls, shipped, every, scanned):
-        assert x == y == z, call
+    shipped, counts = match_the_scan(monkeypatch, calls, roots)
+    seeded, joined, kept = counts["seeded"], counts["joined"], counts["joined faces"]
     nonzero = sum(not c.is_zero for c in shipped)
     assert seeded > 350 and joined > 150 and kept > 80 and nonzero > 200, (
+        seeded, joined, kept, nonzero)
+
+
+def test_operands_between_one_in_eight_and_one_in_four_are_seeded(monkeypatch):
+    # the band that the sparse rule seeds at one in four and scanned at one in eight:
+    # operands at n = 9..12 whose supports hold between 1/8 and 1/4 of the faces of their
+    # dimension, in cups, squares and the arity-4 words on (a, a, b, b); each seeded root
+    # and each joined kid is checked against a filter of every m-face, and each result
+    # against the scan and against seeding every operand
+    roots = check_listings(monkeypatch)
+    rng = random.Random(32)
+
+    def band(n, dim):
+        """A random cochain whose support holds between 1/8 and 1/4 of the dim-faces."""
+        faces = faces_of_dim(n, dim)
+        size = rng.randint(-(-len(faces) // 8), (len(faces) - 1) // 4)
+        c = Cochain(n, dim, rng.sample(faces, size))
+        assert 1 / 8 <= size / len(faces) < 1 / 4 and _seeds(c) is c.support
+        return c
+
+    calls = []
+    for n in range(9, 13):
+        for da, db in ((1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1)):
+            a, b = band(n, da), band(n, db)
+            calls += [(cup, (i, a, b)) for i in range(da + db + 1)]
+            calls += [(steenrod_square, (k, a)) for k in range(da + 1)]
+            if da + db <= 3:
+                for i in range(2):
+                    calls.append((cartan_coboundary, (i, a, b)))
+                    for words in (_defect_surjections, square_surjections):
+                        calls.append((act, (words, i, (a, a, b, b), 2 * da + 2 * db - i)))
+
+    shipped, counts = match_the_scan(monkeypatch, calls, roots)
+    seeded, joined, kept = counts["seeded"], counts["joined"], counts["joined faces"]
+    nonzero = sum(not c.is_zero for c in shipped)
+    assert seeded > 60 and joined > 100 and kept > 1500 and nonzero > 100, (
         seeded, joined, kept, nonzero)
 
 
@@ -527,12 +592,23 @@ def join_cases(draw):
     return positions, kid, m, n, support(positions), support(kid)
 
 
+class Unprobed(dict):
+    """A kid index that fails the test when a key is looked up in it, as a probe would."""
+
+    def get(self, key, default=None):
+        raise AssertionError(f"probed a disjoint join at {key}")
+
+    __getitem__ = __contains__ = get
+
+
 def test_joined_faces_match_a_brute_force_filter():
-    # the hash join against a filter of every m-face: each m-face whose vertices at the
+    # the hash join against a filter of every m-face, called as an action calls it, with
+    # the root's key list and the kid's index prepared: each m-face whose vertices at the
     # root's positions form a face of its support and whose vertices at the kid's form one
     # of the kid's is listed exactly once, and nothing else is; the cases include cup_0's
-    # one shared vertex, kids that share no position, and pairs whose interleaving breaks
-    # the strict order (crossings)
+    # one shared vertex, kids that share no position, pairs whose interleaving breaks the
+    # strict order (crossings), and disjoint joins, whose keys miss the index entirely and
+    # which must return [] without a probe
     seen = Counter()
 
     @settings(deadline=None, max_examples=800)
@@ -540,7 +616,11 @@ def test_joined_faces_match_a_brute_force_filter():
     def check(case):
         positions, kid, m, n, support, kid_support = case
         join = _join_plan(positions, kid, m, _Memo(_getter))
-        faces = _joined_faces(join, support, kid_support)
+        keys = list(map(join[0], support))
+        index = _index(list(map(join[1], kid_support)), kid_support)
+        assert sorted(chain.from_iterable(index.values())) == sorted(kid_support)
+        disjoint = index.keys().isdisjoint(keys)
+        faces = _joined_faces(join, support, keys, Unprobed(index) if disjoint else index)
         kept = [f for f in faces_of_dim(n, m) if tuple(f[p] for p in positions) in support
                 and tuple(f[q] for q in kid) in kid_support]
         assert sorted(faces) == kept, case
@@ -552,13 +632,45 @@ def test_joined_faces_match_a_brute_force_filter():
         seen["vertex 0"] += any(f[0] == 0 for f in faces)
         seen["vertex n"] += any(f[-1] == n for f in faces)
         seen["nonempty"] += bool(faces)
+        seen["disjoint"] += disjoint
 
     check()
     # a root and a kid that leave a position uncovered have no join
     assert _join_plan((0, 2), (0, 1), 3, _Memo(_getter)) is None
     floors = {"cup_0": 250, "no shared vertex": 30, "crossings": 50, "crossings, nonempty": 25,
-              "vertex 0": 250, "vertex n": 200, "nonempty": 300}
+              "vertex 0": 250, "vertex n": 200, "nonempty": 300, "disjoint": 100}
     assert all(seen[key] >= floor for key, floor in floors.items()), seen
+
+
+def test_a_square_indexes_each_kid_once(monkeypatch):
+    # the joins of one call share their kid indexes: one steenrod_square call builds at
+    # most one index per (kid slot, kid getter), however many of its joins read it, and
+    # the joins of at least some calls outnumber their indexes; a call builds one key list
+    # per (slot, getter) and keeps it, so the identity of the key list stands for the pair
+    index, joined_faces = cartan.cochains._index, cartan.cochains._joined_faces
+    built, joins = Counter(), Counter()
+
+    def counted(keys, support):
+        built[id(keys), id(support)] += 1
+        return index(keys, support)
+
+    def joined(join, support, keys, kid_index):
+        joins["joins"] += 1
+        return joined_faces(join, support, keys, kid_index)
+
+    monkeypatch.setattr(cartan.cochains, "_index", counted)
+    monkeypatch.setattr(cartan.cochains, "_joined_faces", joined)
+    rng = random.Random(31)
+    shared = 0
+    for n, d in product((10, 12), (2, 3, 4)):
+        a = delta(Cochain(n, d - 1, rng.sample(faces_of_dim(n, d - 1), 3)))
+        for k in range(d + 1):
+            built.clear()
+            joins.clear()
+            assert steenrod_square(k, a) == cup_i_reference(d - k, a, a)
+            assert all(count == 1 for count in built.values()), (n, d, k, built)
+            shared += joins["joins"] > len(built)
+    assert shared >= 5, shared
 
 
 def test_squares_of_sparse_cochains_list_no_m_face(monkeypatch):
