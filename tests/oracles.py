@@ -20,7 +20,9 @@ plans nor the evaluator.
 with no action and no cut plan.
 `ez_reference` and `shih_reference` build every shuffle by applying
 degeneracy operators one index at a time, where the package walks its
-shuffles directly.  `be_compose_reference` shuffles with
+shuffles directly.  `aw_reference` slices both factors at every
+split and tests each slice, where the package finds the interval of
+valid splits first.  `be_compose_reference` shuffles with
 `ez_reference` and composes each label letter by letter with
 `wreath_reference`, where the package looks labels up in a table.
 Two helpers are not references: `value` reads a cochain on one face,
@@ -170,6 +172,24 @@ def shih_reference(c: F2Sum) -> F2Sum:
                         if not is_degenerate(znew):
                             yield znew
     return F2Sum(odd_terms(terms()))
+
+
+def aw_reference(c: F2Sum) -> F2Sum:
+    """Alexander-Whitney read at every split.
+
+    Slices the two factors of each product simplex at every i, front
+    face x[:i + 1] and back face y[i:], and keeps the terms whose two
+    factors are both nondegenerate.
+    """
+
+    def splittings():
+        for z in c:
+            xs, ys = tuple(zip(*z))
+            for i in range(len(z)):
+                x, y = xs[:i + 1], ys[i:]
+                if not is_degenerate(x) and not is_degenerate(y):
+                    yield x, y
+    return F2Sum(odd_terms(splittings()))
 
 
 def compositions(total: int, parts: int):

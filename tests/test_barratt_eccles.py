@@ -1,11 +1,12 @@
 """Permutation calculus and the arity-4 homotopies built from the two embeddings."""
 
 from functools import partial
-from itertools import chain, filterfalse, starmap
+from itertools import chain, filterfalse, permutations, starmap
 from itertools import product as product_of
 
 import pytest
 
+from cartan import barratt_eccles
 from cartan.barratt_eccles import (ID2, MID_SWAP4, SWAP2, be_compose,
                                    block_compose, cartan_homotopy,
                                    compose_perm, cup_generator, diag_embed,
@@ -97,6 +98,36 @@ def test_sigma_act_normalizes():
         sigma_act((1, 2, 3), c)
     # a constant entry map collapses every term
     assert nerve_map(lambda s: E4, singleton((E4, P23))) == F2Sum()
+
+
+def test_sigma_act_refusal_stores_nothing():
+    c = singleton((ID2, SWAP2))
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            sigma_act((1, 2, 3), c)
+        table = barratt_eccles._LEFT_TABLES[1, 2, 3]
+        assert sorted(table) == sorted(permutations((1, 2, 3))) and ID2 not in table
+    assert sigma_act((1, 2, 3), singleton(((1, 2, 3), (2, 1, 3)))) == singleton(((1, 2, 3), (2, 1, 3)))
+    # a label of the right arity that is not a permutation is composed, not stored
+    assert sigma_act(SWAP2, singleton(((1, 1), (2, 2)))) == singleton(((2, 2), (1, 1)))
+    assert sorted(barratt_eccles._LEFT_TABLES[SWAP2]) == [ID2, SWAP2]
+
+
+def test_sigma_act_takes_a_list():
+    for c in (singleton((ID2, SWAP2)), singleton(cup_generator(3)), F2Sum()):
+        assert sigma_act([2, 1], c) == sigma_act((2, 1), c)
+    e = ((2, 1, 3), (1, 3, 2), (3, 2, 1))
+    assert sigma_act([3, 1, 2], singleton(e)) == sigma_act((3, 1, 2), singleton(e))
+    with pytest.raises(ValueError):
+        sigma_act([1, 2, 3], singleton((ID2, SWAP2)))
+
+
+def test_sigma_act_past_the_table_arity_keeps_no_table():
+    sigma = (2, 1, 3, 5, 4)
+    e = ((1, 2, 3, 4, 5), (2, 3, 1, 4, 5), (5, 4, 3, 2, 1))
+    want = singleton(tuple(compose_perm(sigma, t) for t in e))
+    assert sigma_act(sigma, singleton(e)) == want
+    assert sigma not in barratt_eccles._LEFT_TABLES and len(barratt_eccles._LEFT_TABLES) == 33
 
 
 def test_be_compose_identity_slots():

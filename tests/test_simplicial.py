@@ -10,7 +10,7 @@ from cartan.simplicial import (SHUFFLE_MEMO_DEGREE, aw, boundary, degree_simplic
                                faces_of_dim, is_degenerate, product, shih)
 from cartan.verify import arity_basis, product_basis, tensor_basis
 
-from oracles import all_faces, ez_reference, shih_reference, tensor_boundary
+from oracles import all_faces, aw_reference, ez_reference, shih_reference, tensor_boundary
 
 
 def product_cells(na, nb, d):
@@ -67,6 +67,28 @@ def test_aw_drops_degenerate_factors():
     out = aw(singleton(product((0, 1, 1), (0, 0, 1))))
     for x, y in out:
         assert not is_degenerate(x) and not is_degenerate(y)
+
+
+def test_aw_equals_the_reference_on_every_small_product_simplex():
+    # every product simplex of Delta^a x Delta^b, a + b <= 4, degree <= 4, degenerate factors
+    # and degenerate simplices included; each one alone and all of them in one sum
+    cases = inside = 0
+    cells = []
+    for a in range(5):
+        for b in range(5 - a):
+            for d in range(5):
+                for x, y in product_of(degree_simplices(a, d), degree_simplices(b, d)):
+                    c = singleton(product(x, y))
+                    want = aw_reference(c)
+                    assert aw(c) == want, (x, y)
+                    cases += 1
+                    # the valid splits start after 0 and stop before n
+                    splits = [len(front) - 1 for front, _ in want]
+                    inside += bool(splits) and min(splits) > 0 and max(splits) < d
+                    cells.append(product(x, y))
+    total = F2Sum(cells)
+    assert aw(total) == aw_reference(total)
+    assert cases == 3596 and inside >= 50, (cases, inside)
 
 
 def test_aw_is_a_chain_map():

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cartan import surjection
 from cartan.barratt_eccles import sigma_act
 from cartan.f2 import F2Sum, singleton
 from cartan.simplicial import boundary
-from cartan.surjection import (is_basis_surjection, surj_act, surj_boundary,
+from cartan.surjection import (TR_MEMO_ARITY, is_basis_surjection, surj_act, surj_boundary,
                                surj_compose, table_reduction)
 from cartan.verify import arity_basis
 
@@ -135,8 +136,9 @@ def test_table_reduction_equals_the_naive_reading_on_every_small_element():
 
 
 def test_table_reduction_equals_the_naive_reading_on_random_tables():
-    # any table, degenerate ones included; the pruned and the nonempty cases must both occur
-    seen = {"pruned": 0, "nonempty": 0}
+    # any table, degenerate ones included; the pruned and the nonempty cases must occur, and
+    # tables of more than one row past the step memo's arity
+    seen = {"pruned": 0, "nonempty": 0, "past the memo": 0}
 
     @settings(deadline=None, max_examples=200)
     @given(st.integers(1, 5).flatmap(
@@ -149,6 +151,25 @@ def test_table_reduction_equals_the_naive_reading_on_random_tables():
         readings = [reduce_table(e, a) for a in compositions(n + r, n + 1)]
         seen["pruned"] += any(x == y for seq in readings for x, y in zip(seq, seq[1:]))
         seen["nonempty"] += bool(want)
+        seen["past the memo"] += r > TR_MEMO_ARITY and n > 0
 
     check()
-    assert seen["pruned"] and seen["nonempty"], seen
+    assert seen["pruned"] and seen["nonempty"] and seen["past the memo"], seen
+    # no table, however wide, adds a step to the shared ones
+    assert len(surjection._ROW_STEPS) == 530
+
+
+def test_table_reduction_keeps_the_shared_steps_fixed():
+    # the shared steps are filled whole by the first reduction, so no reading changes them,
+    # malformed tables included, and none depends on the readings before it
+    e = ((1, 2, 3), (3, 1, 2), (2, 3, 1))
+    want = table_reduction(singleton(e))
+    steps = dict(surjection._ROW_STEPS)
+    floats = tuple(tuple(map(float, row)) for row in e)
+    assert table_reduction(singleton(floats)) == want
+    with pytest.raises(RuntimeError):  # a ragged table runs out of values, as it always did
+        table_reduction(singleton(((1, 2, 3), (1, 2))))
+    with pytest.raises(TypeError):  # a float table past the shared arity is read value by value
+        table_reduction(singleton(((1.0, 2.0, 3.0, 4.0), (4, 3, 2, 1))))
+    table_reduction(singleton(((1, 2, 3, 4, 5), (5, 4, 3, 2, 1), (2, 1, 4, 3, 5))))
+    assert surjection._ROW_STEPS == steps and len(steps) == 530

@@ -1,9 +1,11 @@
 """The verification harness itself: small smoke runs plus its helpers."""
 
 import json
+from itertools import permutations
+from math import factorial
 
 import cartan.verify
-from cartan import cli
+from cartan import barratt_eccles, cli, surjection
 from cartan.barratt_eccles import SWAP2, compose_perm, cup_generator
 from cartan.cochains import Cochain, delta
 from cartan.f2 import F2Sum
@@ -122,3 +124,31 @@ def test_report_round_trip_fields():
     assert doc["i"] == 2 and doc["n"] == 3 and doc["trials"] == 7 and doc["seed"] == 9
     assert doc["params"] is None and doc["failures"] is report.failures
     assert set(doc) == set(VerifyReport._fields)
+
+
+def test_a_sweep_keeps_the_operad_tables_within_their_bounds():
+    # both tables are filled whole by their first use; a sweep at degree 2 adds no entry
+    for name in IDENTITIES:
+        assert run_identities(name, max_degree=2).ok, name
+    # row steps: a row and the row below, permutations of one arity r <= TR_MEMO_ARITY, at
+    # most r - 1 values in use, and a flag; 2 (r!)^2 (2^r - 1) keys of each arity
+    steps = surjection._ROW_STEPS
+    for row, below, used, final in steps:
+        r = len(row)
+        assert r <= surjection.TR_MEMO_ARITY
+        assert sorted(row) == sorted(below) == list(range(1, r + 1))
+        assert used >> (r + 1) == used & 1 == 0 and bin(used).count("1") <= r - 1
+        assert final in (True, False)
+    assert len(steps) == sum(2 * factorial(r) ** 2 * (2 ** r - 1)
+                             for r in range(1, surjection.TR_MEMO_ARITY + 1)) == 530
+    # the cap covers every arity the verify suites reduce
+    assert max(cartan.verify.TR_ARITIES) <= surjection.TR_MEMO_ARITY
+    # left-multiplication tables: one per permutation of arity <= SIGMA_MEMO_ARITY, one entry
+    # per permutation label of that arity
+    tables = barratt_eccles._LEFT_TABLES
+    assert len(tables) == sum(factorial(r) for r in range(1, barratt_eccles.SIGMA_MEMO_ARITY + 1))
+    for sigma, table in tables.items():
+        r = len(sigma)
+        assert sorted(sigma) == list(range(1, r + 1)) and table.sigma is sigma
+        assert sorted(table) == sorted(permutations(range(1, r + 1)))
+    assert sum(map(len, tables.values())) == 617
